@@ -666,11 +666,10 @@ func BenchmarkRunBatch(b *testing.B) {
 }
 
 // BenchmarkDistrictSharedHorizon measures the full district sweep over
-// the synthetic neighborhood tile under the three horizon regimes: the
-// default shared tile map (one BuildRegions march sliced per roof),
-// the -per-roof-horizon escape hatch (one march per roof — the pre-PR6
-// behaviour), and the shared map restored from a warm artifact cache
-// (the streamed-service steady state, zero marches). The number of
+// the synthetic neighborhood tile under two horizon regimes: the
+// shared tile map marched cold (one BuildRegions march sliced per
+// roof) and restored from a warm artifact cache (the streamed-service
+// steady state, zero marches). The number of
 // horizon ray-marches per sweep is reported as a custom metric so the
 // build-once contract shows up in the numbers.
 func BenchmarkDistrictSharedHorizon(b *testing.B) {
@@ -688,14 +687,13 @@ func BenchmarkDistrictSharedHorizon(b *testing.B) {
 		b.ReportMetric(float64(horizon.BuildCount()-before)/float64(b.N), "horizon-builds/op")
 	}
 	b.Run("shared-cold", func(b *testing.B) { run(b, DistrictConfig{}) })
-	b.Run("perroof-cold", func(b *testing.B) { run(b, DistrictConfig{PerRoofHorizon: true}) })
 	b.Run("shared-warm", func(b *testing.B) {
-		dir := b.TempDir()
-		if _, err := RunDistrict(DistrictConfig{Tile: tile, CacheDir: dir}); err != nil {
+		cache := openTestCache(b)
+		if _, err := RunDistrict(DistrictConfig{Tile: tile, Cache: cache}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		run(b, DistrictConfig{CacheDir: dir})
+		run(b, DistrictConfig{Cache: cache})
 	})
 }
 
@@ -950,10 +948,10 @@ func BenchmarkCityPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				res, err := RunCity(CityConfig{
-					Source:    wr,
-					TileCells: 80,
-					HaloCells: 40, // fixed window: peak memory must not track city size
-					Modules:   8, SkipBaseline: true,
+					Source:       wr,
+					TileCells:    80,
+					HaloCells:    40, // fixed window: peak memory must not track city size
+					FleetOptions: FleetOptions{Modules: 8, SkipBaseline: true},
 				})
 				if cerr := wr.Close(); err == nil {
 					err = cerr
@@ -1004,7 +1002,7 @@ func BenchmarkDistrictEconRanking(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := res.applyEconomics(cfg); err != nil {
+		if res.FleetSummary, err = rankFleet(res.roofPlans(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

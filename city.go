@@ -16,7 +16,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/scenario"
 	"repro/internal/solar/horizon"
-	"repro/internal/timegrid"
 )
 
 // ErrInterrupted is returned by RunCity when a Drain request stopped
@@ -65,28 +64,14 @@ type CityConfig struct {
 	// of proportionally more resident windows.
 	TileWorkers int
 
-	// The remaining knobs mirror DistrictConfig and are applied to
-	// every tile's district run.
-	Extract        district.Options
-	Site           district.SiteConfig
-	Modules        int
-	MaxModules     int
-	Fidelity       Fidelity
-	Grid           *timegrid.Grid
-	Optimizer      OptimizerConfig
-	SkipBaseline   bool
-	CacheDir       string
-	Cache          *fieldcache.Cache
-	PerRoofHorizon bool
-	Concurrency    int
-	FieldWorkers   int
-
-	// Economics switches the stitched city result into
-	// economics-aware fleet ranking (see EconConfig). The pass runs
-	// once over the stitched city — never per tile — so a budget cap
-	// spans the whole city and checkpoint-restored tiles price
-	// identically to live ones.
-	Economics EconConfig
+	// FleetOptions shape every roof's plan, as in DistrictConfig. The
+	// economics pass runs once over the stitched city — never per tile
+	// — so a budget cap spans the whole city and checkpoint-restored
+	// tiles price identically to live ones.
+	FleetOptions
+	// Cache, when non-nil, is the persistent field-artifact cache
+	// shared by every tile's district run.
+	Cache *fieldcache.Cache
 
 	// TileRetries is the number of extra attempts a failed tile gets
 	// before it is recorded as failed (0 = one attempt only). Tile
@@ -200,30 +185,21 @@ type CityResult struct {
 	// (row-major by first footprint cell, segments in order), with
 	// city-wide IDs and Building numbers.
 	Plans []CityPlan
-	// Ranked indexes Plans best-first (descending proposed net
-	// energy, ties by index; with the economics pass, the configured
-	// objective over the admitted subset).
-	Ranked []int
 	// Dropped lists rejected candidate regions in city cells, each
 	// counted once (entries a tile rejected as owned-elsewhere are
 	// the owning tile's to report), sorted by position.
 	Dropped []district.Dropped
-	// Totals sum over the successfully planned roofs (the admitted
-	// subset when a budget cap is configured).
-	TotalProposedMWh    float64
-	TotalTraditionalMWh float64
-	TotalWiringExtraM   float64
-	// Econ summarises the economics pass (nil when disabled).
-	Econ *FleetEcon
+	// FleetSummary ranks (indexing Plans) and totals the city fleet.
+	FleetSummary
 }
 
-// CityGainPct returns the aggregate net-energy gain of the proposed
-// placements over the traditional baselines, in percent.
-func (cr *CityResult) CityGainPct() float64 {
-	if cr.TotalTraditionalMWh == 0 {
-		return 0
+// roofPlans lists the plans by pointer, the shape the fleet pass reads.
+func (cr *CityResult) roofPlans() []*RoofPlan {
+	plans := make([]*RoofPlan, len(cr.Plans))
+	for i := range cr.Plans {
+		plans[i] = &cr.Plans[i].RoofPlan
 	}
-	return (cr.TotalProposedMWh - cr.TotalTraditionalMWh) / cr.TotalTraditionalMWh * 100
+	return plans
 }
 
 // tileOutcome is one worker's raw product before stitching: the tile
@@ -264,19 +240,11 @@ func RunCity(cfg CityConfig) (*CityResult, error) {
 	if bounds.X0 != 0 || bounds.Y0 != 0 {
 		return nil, fmt.Errorf("pvfloor: city bounds %v not anchored at the origin", bounds)
 	}
-	if cfg.Modules == 0 && cfg.MaxModules != 0 && cfg.MaxModules < 8 {
-		return nil, fmt.Errorf("pvfloor: city MaxModules %d below one 8-module string (use 0 for the default)",
-			cfg.MaxModules)
-	}
-	if cfg.Modules != 0 && (cfg.Modules < 8 || cfg.Modules%8 != 0) {
-		return nil, fmt.Errorf("pvfloor: city Modules %d not a positive multiple of 8 (use 0 to auto-size)",
-			cfg.Modules)
+	if err := cfg.FleetOptions.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Extract.Keep != nil {
 		return nil, fmt.Errorf("pvfloor: city run owns Extract.Keep (seam deduplication)")
-	}
-	if err := cfg.Economics.Validate(); err != nil {
-		return nil, err
 	}
 	tileCells := cfg.TileCells
 	if tileCells <= 0 {
@@ -497,24 +465,21 @@ func (cfg CityConfig) runTileAttempt(ctx context.Context, t int, core, window, b
 	}
 
 	origin := window.Anchor()
-	extract := cfg.Extract
-	extract.SeamEdges = district.Edges{
+	opts := cfg.FleetOptions
+	opts.Extract.SeamEdges = district.Edges{
 		Left: window.X0 > bounds.X0, Top: window.Y0 > bounds.Y0,
 		Right: window.X1 < bounds.X1, Bottom: window.Y1 < bounds.Y1,
 	}
-	extract.Keep = func(_ geom.Rect, cells []geom.Cell) bool {
+	opts.Extract.Keep = func(_ geom.Rect, cells []geom.Cell) bool {
 		return centroidOwned(cells, origin, core)
 	}
+	opts.Economics = EconConfig{} // priced once over the stitched city
 
 	res, err := RunDistrict(DistrictConfig{
 		Tile: win, NoData: mask,
-		Extract: extract, Site: cfg.Site,
-		Modules: cfg.Modules, MaxModules: cfg.MaxModules,
-		Fidelity: cfg.Fidelity, Grid: cfg.Grid,
-		Optimizer: cfg.Optimizer, SkipBaseline: cfg.SkipBaseline,
-		CacheDir: cfg.CacheDir, Cache: cfg.Cache, PerRoofHorizon: cfg.PerRoofHorizon,
-		Concurrency: cfg.Concurrency, FieldWorkers: cfg.FieldWorkers,
-		Context: ctx,
+		FleetOptions: opts,
+		Cache:        cfg.Cache,
+		Context:      ctx,
 		Progress: func(ev DistrictEvent) {
 			ev.Roof.Rect = offsetRect(ev.Roof.Rect, origin)
 			emit(ev)
@@ -635,32 +600,9 @@ func stitchCity(cfg CityConfig, bounds geom.Rect, cellSize float64, tileCells, h
 		return cr.Dropped[a].Reason < cr.Dropped[b].Reason
 	})
 
-	// Totals and ranking read the flattened Outcome so live and
-	// checkpoint-restored plans stitch identically.
-	net := make([]float64, len(cr.Plans))
-	for i := range cr.Plans {
-		cp := &cr.Plans[i]
-		o := cp.Outcome()
-		if !o.Planned {
-			continue
-		}
-		net[i] = o.ProposedMWh
-		cr.Ranked = append(cr.Ranked, i)
-		cr.TotalProposedMWh += o.ProposedMWh
-		cr.TotalTraditionalMWh += o.TraditionalMWh
-		cr.TotalWiringExtraM += o.WiringExtraM
-	}
-	sort.SliceStable(cr.Ranked, func(a, b int) bool {
-		ea, eb := net[cr.Ranked[a]], net[cr.Ranked[b]]
-		if ea != eb {
-			return ea > eb
-		}
-		return cr.Ranked[a] < cr.Ranked[b]
-	})
-	if cfg.Economics.Enabled {
-		if err := cr.applyEconomics(cfg.Economics); err != nil {
-			return nil, err
-		}
+	var err error
+	if cr.FleetSummary, err = rankFleet(cr.roofPlans(), cfg.Economics); err != nil {
+		return nil, err
 	}
 	return cr, nil
 }
@@ -675,18 +617,7 @@ func cellBefore(a, b geom.Cell) bool {
 // CityTable renders the ranked city report: the district table's
 // format with tile provenance, plus per-tile and aggregate totals.
 func CityTable(cr *CityResult) string {
-	dr := &DistrictResult{
-		Plans:               make([]RoofPlan, len(cr.Plans)),
-		Ranked:              cr.Ranked,
-		TotalProposedMWh:    cr.TotalProposedMWh,
-		TotalTraditionalMWh: cr.TotalTraditionalMWh,
-		TotalWiringExtraM:   cr.TotalWiringExtraM,
-		Econ:                cr.Econ,
-	}
-	for i, cp := range cr.Plans {
-		dr.Plans[i] = cp.RoofPlan
-	}
-	out := DistrictTable(dr)
+	out := fleetTable(cr.roofPlans(), &cr.FleetSummary)
 	ran, failed := 0, 0
 	for _, ti := range cr.Tiles {
 		switch {

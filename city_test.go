@@ -100,14 +100,16 @@ func requireCityMatchesDistrict(t *testing.T, cr *CityResult, dr *DistrictResult
 	}
 }
 
-// TestRunCityEquivalence2x2 is the issue's acceptance criterion: a
-// 2×2-tiled RunCity over the committed neighborhood fixture produces
-// the same ranked fleet, bit for bit, as one monolithic RunDistrict —
-// each roof extracted exactly once. The default halo (the fast
-// horizon's 40 m reach = 200 cells) exceeds the 160×120 fixture, so
-// every window clips to the whole tile and the test isolates the
-// seam-ownership and stitching machinery.
-func TestRunCityEquivalence2x2(t *testing.T) {
+// TestRunCityEquivalence is the city acceptance criterion: a tiled
+// RunCity over the committed neighborhood fixture produces the same
+// ranked fleet, bit for bit, as one monolithic RunDistrict — each roof
+// extracted exactly once. The 2×2 case isolates the seam-ownership and
+// stitching machinery: the default halo (the fast horizon's 40 m reach
+// = 200 cells) exceeds the 160×120 fixture, so every window clips to
+// the whole tile. The one-tile case (TileCells 0 = the 512 default)
+// pins that the rank/totals pass shared by both entry points serves a
+// city that is a single district bit-identically.
+func TestRunCityEquivalence(t *testing.T) {
 	tile := loadNeighborhoodTile(t)
 	mono, err := RunDistrict(DistrictConfig{Tile: tile})
 	if err != nil {
@@ -117,32 +119,43 @@ func TestRunCityEquivalence2x2(t *testing.T) {
 		t.Fatalf("monolithic run extracted %d roofs, want 4", len(mono.Plans))
 	}
 
-	for _, workers := range []int{1, 2} {
-		city, err := RunCity(CityConfig{
-			Source:      &gis.RasterSource{Raster: tile},
-			TileCells:   80, // 160×120 fixture → 2×2 tile grid
-			TileWorkers: workers,
+	for _, tc := range []struct {
+		name      string
+		tileCells int
+		wantTiles int
+	}{
+		{"2x2", 80, 4},
+		{"one-tile", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				city, err := RunCity(CityConfig{
+					Source:      &gis.RasterSource{Raster: tile},
+					TileCells:   tc.tileCells,
+					TileWorkers: workers,
+				})
+				if err != nil {
+					t.Fatalf("tile workers %d: %v", workers, err)
+				}
+				if len(city.Tiles) != tc.wantTiles {
+					t.Fatalf("tile workers %d: swept %d tiles, want %d", workers, len(city.Tiles), tc.wantTiles)
+				}
+				if city.HaloCells != 200 {
+					t.Fatalf("tile workers %d: default halo %d cells, want the fast 40 m reach (200)",
+						workers, city.HaloCells)
+				}
+				requireCityMatchesDistrict(t, city, mono)
+				// Exactly-once also across tiles: owned-roof counts must
+				// sum to the monolithic fleet.
+				owned := 0
+				for _, ti := range city.Tiles {
+					owned += ti.Roofs
+				}
+				if owned != len(mono.Plans) {
+					t.Fatalf("tile workers %d: tiles own %d roofs total, want %d", workers, owned, len(mono.Plans))
+				}
+			}
 		})
-		if err != nil {
-			t.Fatalf("tile workers %d: %v", workers, err)
-		}
-		if len(city.Tiles) != 4 {
-			t.Fatalf("tile workers %d: swept %d tiles, want 4", workers, len(city.Tiles))
-		}
-		if city.HaloCells != 200 {
-			t.Fatalf("tile workers %d: default halo %d cells, want the fast 40 m reach (200)",
-				workers, city.HaloCells)
-		}
-		requireCityMatchesDistrict(t, city, mono)
-		// Exactly-once also across tiles: owned-roof counts must sum to
-		// the monolithic fleet.
-		owned := 0
-		for _, ti := range city.Tiles {
-			owned += ti.Roofs
-		}
-		if owned != len(mono.Plans) {
-			t.Fatalf("tile workers %d: tiles own %d roofs total, want %d", workers, owned, len(mono.Plans))
-		}
 	}
 }
 
@@ -209,11 +222,10 @@ func TestRunCitySubWindowEquivalence(t *testing.T) {
 // nothing.
 func TestRunCityWarmCache(t *testing.T) {
 	tile := loadNeighborhoodTile(t)
-	dir := t.TempDir()
 	cfg := CityConfig{
 		Source:    &gis.RasterSource{Raster: tile},
 		TileCells: 80,
-		CacheDir:  dir,
+		Cache:     openTestCache(t),
 	}
 	cold, err := RunCity(cfg)
 	if err != nil {
@@ -227,13 +239,7 @@ func TestRunCityWarmCache(t *testing.T) {
 	if d := horizon.BuildCount() - before; d != 0 {
 		t.Errorf("warm city run ray-marched %d horizon maps, want 0", d)
 	}
-	requireCityMatchesDistrict(t, warm, &DistrictResult{
-		Plans:               plansOf(cold),
-		Ranked:              cold.Ranked,
-		TotalProposedMWh:    cold.TotalProposedMWh,
-		TotalTraditionalMWh: cold.TotalTraditionalMWh,
-		TotalWiringExtraM:   cold.TotalWiringExtraM,
-	})
+	requireCityMatchesDistrict(t, warm, &DistrictResult{Plans: plansOf(cold), FleetSummary: cold.FleetSummary})
 }
 
 func plansOf(cr *CityResult) []RoofPlan {
@@ -338,15 +344,15 @@ func TestRunCityValidation(t *testing.T) {
 	if _, err := RunCity(CityConfig{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := RunCity(CityConfig{Source: src, Modules: 12}); err == nil {
+	if _, err := RunCity(CityConfig{Source: src, FleetOptions: FleetOptions{Modules: 12}}); err == nil {
 		t.Error("Modules=12 accepted (must be a multiple of 8)")
 	}
-	if _, err := RunCity(CityConfig{Source: src, MaxModules: 4}); err == nil {
+	if _, err := RunCity(CityConfig{Source: src, FleetOptions: FleetOptions{MaxModules: 4}}); err == nil {
 		t.Error("MaxModules below one string accepted")
 	}
 	if _, err := RunCity(CityConfig{
-		Source:  src,
-		Extract: district.Options{Keep: func(geom.Rect, []geom.Cell) bool { return true }},
+		Source:       src,
+		FleetOptions: FleetOptions{Extract: district.Options{Keep: func(geom.Rect, []geom.Cell) bool { return true }}},
 	}); err == nil {
 		t.Error("caller-supplied Extract.Keep accepted (city owns seam dedup)")
 	}

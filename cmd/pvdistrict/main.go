@@ -57,6 +57,7 @@ import (
 	pvfloor "repro"
 	"repro/internal/district"
 	"repro/internal/dsm"
+	"repro/internal/fieldcache"
 	"repro/internal/geom"
 	"repro/internal/gis"
 )
@@ -76,7 +77,6 @@ func main() {
 	runs := flag.Int("runs", 0, "concurrent roof runs (0 = one per CPU)")
 	workers := flag.Int("workers", 0, "solar-field workers per roof (0 = one per CPU)")
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory")
-	perRoofHorizon := flag.Bool("per-roof-horizon", false, "disable the shared tile horizon and ray-march one map per roof (debug/compare)")
 	noBaseline := flag.Bool("nobaseline", false, "skip the compact baseline placements")
 	minHeight := flag.Float64("minheight", 0, "extraction: min height above ground in metres (0 = default 2.5)")
 	minArea := flag.Int("minarea", 0, "extraction: min roof footprint in cells (0 = default 60)")
@@ -112,50 +112,7 @@ func main() {
 	if *full {
 		fid = pvfloor.Full
 	}
-	if *city {
-		runCity(cityFlags{
-			tilePath: *tilePath, demo: *demo, asJSON: *asJSON,
-			tileSize: *tileSize, halo: *halo, memBudgetMiB: *memBudget, tileWorkers: *tileWorkers,
-			checkpoint: *checkpoint,
-			cfg: pvfloor.CityConfig{
-				TileRetries: *tileRetries,
-				TileTimeout: *tileTimeout,
-				Backoff:     *retryBackoff,
-				Extract: district.Options{
-					MinHeightM:          *minHeight,
-					MinAreaCells:        *minArea,
-					MinRectangularity:   *minRect,
-					MaxFitRMSM:          *maxRMS,
-					KeepBorder:          *keepBorder,
-					MaxRoofs:            *maxRoofs,
-					SuitableMarginCells: *margin,
-				},
-				Modules:        *modules,
-				MaxModules:     *maxModules,
-				Fidelity:       fid,
-				SkipBaseline:   *noBaseline,
-				Economics:      econCfg,
-				CacheDir:       *cacheDir,
-				PerRoofHorizon: *perRoofHorizon,
-				Concurrency:    *runs,
-				FieldWorkers:   *workers,
-				Optimizer: pvfloor.OptimizerConfig{
-					Strategy: strat,
-					Seed:     *seed,
-					Restarts: *restarts,
-				},
-			},
-		})
-		return
-	}
-
-	tile, nodata, err := loadTile(*tilePath, *demo)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := pvfloor.DistrictConfig{
-		Tile:   tile,
-		NoData: nodata,
+	opts := pvfloor.FleetOptions{
 		Extract: district.Options{
 			MinHeightM:          *minHeight,
 			MinAreaCells:        *minArea,
@@ -165,21 +122,46 @@ func main() {
 			MaxRoofs:            *maxRoofs,
 			SuitableMarginCells: *margin,
 		},
-		Modules:        *modules,
-		MaxModules:     *maxModules,
-		Fidelity:       fid,
-		SkipBaseline:   *noBaseline,
-		Economics:      econCfg,
-		CacheDir:       *cacheDir,
-		PerRoofHorizon: *perRoofHorizon,
-		Concurrency:    *runs,
-		FieldWorkers:   *workers,
+		Modules:      *modules,
+		MaxModules:   *maxModules,
+		Fidelity:     fid,
+		SkipBaseline: *noBaseline,
+		Economics:    econCfg,
+		Concurrency:  *runs,
+		FieldWorkers: *workers,
 		Optimizer: pvfloor.OptimizerConfig{
 			Strategy: strat,
 			Seed:     *seed,
 			Restarts: *restarts,
 		},
 	}
+	var cache *fieldcache.Cache
+	if *cacheDir != "" {
+		if cache, err = fieldcache.Open(*cacheDir); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if *city {
+		runCity(cityFlags{
+			tilePath: *tilePath, demo: *demo, asJSON: *asJSON,
+			tileSize: *tileSize, halo: *halo, memBudgetMiB: *memBudget, tileWorkers: *tileWorkers,
+			checkpoint: *checkpoint,
+			cfg: pvfloor.CityConfig{
+				FleetOptions: opts,
+				Cache:        cache,
+				TileRetries:  *tileRetries,
+				TileTimeout:  *tileTimeout,
+				Backoff:      *retryBackoff,
+			},
+		})
+		return
+	}
+
+	tile, nodata, err := loadTile(*tilePath, *demo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := pvfloor.DistrictConfig{Tile: tile, NoData: nodata, FleetOptions: opts, Cache: cache}
 
 	start := time.Now()
 	res, err := pvfloor.RunDistrict(cfg)

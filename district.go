@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/district"
@@ -12,11 +11,9 @@ import (
 	"repro/internal/fieldcache"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
-	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/solar/field"
 	"repro/internal/solar/horizon"
-	"repro/internal/timegrid"
 )
 
 // DistrictConfig parameterises one whole-tile district run: automatic
@@ -27,55 +24,16 @@ type DistrictConfig struct {
 	Tile *dsm.Raster
 	// NoData optionally marks missing tile cells (same dims as Tile).
 	NoData *geom.Mask
-	// Extract tunes the roof extraction (zero value = defaults).
-	Extract district.Options
-	// Site carries the geography, climate and module geometry shared
-	// by all roofs (zero value = the paper's Turin setup).
-	Site district.SiteConfig
-	// Modules fixes the module count per roof. 0 auto-sizes each roof
-	// from its suitable area (see MaxModules).
-	Modules int
-	// MaxModules caps the auto-sized count (0 = 32). Ignored when
-	// Modules is set.
-	MaxModules int
-	// Fidelity selects Fast (default) or Full simulation; Grid
-	// overrides the implied calendar.
-	Fidelity Fidelity
-	// Grid overrides the calendar implied by Fidelity.
-	Grid *timegrid.Grid
-	// Optimizer selects the placement-search strategy for every roof.
-	Optimizer OptimizerConfig
-	// SkipBaseline skips the compact reference placements.
-	SkipBaseline bool
-	// CacheDir enables the persistent field-artifact cache. At
+	// FleetOptions shape every roof's plan (extraction, modules,
+	// fidelity, optimizer, economics, worker pools).
+	FleetOptions
+	// Cache, when non-nil, is the persistent field-artifact cache. At
 	// district scale this is the difference between re-simulating the
 	// whole neighborhood and re-reading it: roofs are keyed by tile
-	// content + roof rect, so an unchanged tile re-runs warm.
-	CacheDir string
-	// Cache, when non-nil, is the artifact cache handle to use
-	// directly and takes precedence over CacheDir — the way a
-	// long-lived caller (pvserve) shares one metrics surface and one
-	// remote blob tier across every district run.
+	// content + roof rect, so an unchanged tile re-runs warm. One
+	// handle serves the tile horizon and every roof's field build, so
+	// metrics (and a remote blob tier) aggregate in one place.
 	Cache *fieldcache.Cache
-	// PerRoofHorizon disables the tile-level shared horizon and
-	// ray-marches one horizon map per roof, as earlier releases did.
-	// The shared path is bit-identical and strictly cheaper (the tile
-	// is marched once and every roof slices its view), so this is an
-	// escape hatch for comparison and debugging, not a tuning knob.
-	PerRoofHorizon bool
-	// Economics switches the run into economics-aware fleet ranking:
-	// every planned roof is priced through internal/econ over the
-	// panel catalog, and ranking/totals follow the configured
-	// objective and budget (see EconConfig). The zero value disables
-	// the pass — results are then byte-identical to an economics-free
-	// run, as is Economics.RankBy == RankByEnergy without a budget.
-	Economics EconConfig
-	// Concurrency bounds how many roof runs execute simultaneously
-	// (0 = one per CPU; the RunBatch pool).
-	Concurrency int
-	// FieldWorkers bounds each roof's solar-field worker pool
-	// (0 = one per CPU). Results are identical for every value.
-	FieldWorkers int
 	// Context, when non-nil, bounds the run: once cancelled, no
 	// further roof starts (in-flight roofs finish — a run is never
 	// interrupted mid-physics) and RunDistrict returns Context.Err().
@@ -200,33 +158,22 @@ type DistrictResult struct {
 	Extraction *district.Extraction
 	// Plans holds one entry per extracted roof, in roof-ID order.
 	Plans []RoofPlan
-	// Ranked indexes Plans best-first: successfully planned roofs by
-	// descending proposed net energy, ties by roof ID. With the
-	// economics pass enabled, the order follows EconConfig.RankBy and
-	// a budget restricts it to the admitted subset.
-	Ranked []int
-	// TotalProposedMWh / TotalTraditionalMWh / TotalWiringExtraM sum
-	// over the successfully planned roofs (the admitted subset when a
-	// budget cap is configured).
-	TotalProposedMWh    float64
-	TotalTraditionalMWh float64
-	TotalWiringExtraM   float64
-	// Econ summarises the economics pass (nil when disabled).
-	Econ *FleetEcon
+	// FleetSummary ranks (indexing Plans) and totals the fleet.
+	FleetSummary
 }
 
-// DistrictGainPct returns the aggregate net-energy gain of the
-// proposed placements over the traditional baselines, in percent.
-func (dr *DistrictResult) DistrictGainPct() float64 {
-	if dr.TotalTraditionalMWh == 0 {
-		return 0
+// roofPlans lists the plans by pointer, the shape the fleet pass reads.
+func (dr *DistrictResult) roofPlans() []*RoofPlan {
+	plans := make([]*RoofPlan, len(dr.Plans))
+	for i := range dr.Plans {
+		plans[i] = &dr.Plans[i]
 	}
-	return (dr.TotalProposedMWh - dr.TotalTraditionalMWh) / dr.TotalTraditionalMWh * 100
+	return plans
 }
 
 // RunDistrict executes the district pipeline: extract every roof from
 // the tile, derive a scenario per roof, fan the roofs through the
-// concurrent batch engine (sharing the artifact cache when CacheDir is
+// concurrent batch engine (sharing the artifact cache when Cache is
 // set), and rank the outcomes. Roofs whose initial module count finds
 // no feasible placement are retried with progressively fewer modules
 // (multiples of 8, the paper's string length) before being reported as
@@ -239,15 +186,7 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 	if cfg.Tile == nil {
 		return nil, fmt.Errorf("pvfloor: district run without a tile")
 	}
-	if cfg.Modules == 0 && cfg.MaxModules != 0 && cfg.MaxModules < 8 {
-		return nil, fmt.Errorf("pvfloor: district MaxModules %d below one 8-module string (use 0 for the default)",
-			cfg.MaxModules)
-	}
-	if cfg.Modules != 0 && (cfg.Modules < 8 || cfg.Modules%8 != 0) {
-		return nil, fmt.Errorf("pvfloor: district Modules %d not a positive multiple of 8 (use 0 to auto-size)",
-			cfg.Modules)
-	}
-	if err := cfg.Economics.Validate(); err != nil {
+	if err := cfg.FleetOptions.Validate(); err != nil {
 		return nil, err
 	}
 	ctx := cfg.Context
@@ -265,21 +204,13 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve the artifact cache once for the whole district run: the
-	// shared handle serves the tile horizon below and (via roofConfig)
-	// every per-roof field build, so metrics aggregate in one place.
-	if cfg.Cache == nil && cfg.CacheDir != "" {
-		if cfg.Cache, err = fieldcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	// Tile-level shared horizon: march the union of the roof rects once
 	// and let every roof's evaluator slice its view from the result —
 	// bit-identical to the per-roof builds it replaces (the per-cell
 	// march depends only on the raster and the cell) and cached as one
 	// tile artifact when the cache is enabled, so a warm district run
 	// restores a single entry instead of one map per roof.
-	if !cfg.PerRoofHorizon && len(ex.Roofs) > 0 {
+	if len(ex.Roofs) > 0 {
 		var hopts horizon.Options
 		if cfg.Fidelity != Full {
 			hopts = scenario.FastHorizonOptions()
@@ -383,29 +314,8 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 		}
 	}
 
-	// Rank and aggregate.
-	for i := range res.Plans {
-		rp := &res.Plans[i]
-		if !rp.Planned() {
-			continue
-		}
-		res.Ranked = append(res.Ranked, i)
-		res.TotalProposedMWh += rp.Run.Result.ProposedEval.NetMWh()
-		res.TotalTraditionalMWh += rp.Run.Result.TraditionalEval.NetMWh()
-		res.TotalWiringExtraM += rp.Run.Result.ProposedEval.WiringExtraM
-	}
-	sort.SliceStable(res.Ranked, func(a, b int) bool {
-		ea := res.Plans[res.Ranked[a]].Run.Result.ProposedEval.NetMWh()
-		eb := res.Plans[res.Ranked[b]].Run.Result.ProposedEval.NetMWh()
-		if ea != eb {
-			return ea > eb
-		}
-		return res.Ranked[a] < res.Ranked[b]
-	})
-	if cfg.Economics.Enabled {
-		if err := res.applyEconomics(cfg.Economics); err != nil {
-			return nil, err
-		}
+	if res.FleetSummary, err = rankFleet(res.roofPlans(), cfg.Economics); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -419,11 +329,10 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 func (cfg DistrictConfig) retryShrinking(rp *RoofPlan) {
 	start := time.Now()
 	ev, err := rp.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:     cfg.roofConfig(rp.Scenario, rp.Modules).effectiveGrid(),
-		Fast:     cfg.Fidelity != Full,
-		Workers:  cfg.FieldWorkers,
-		CacheDir: cfg.CacheDir,
-		Cache:    cfg.Cache,
+		Grid:    cfg.roofConfig(rp.Scenario, rp.Modules).effectiveGrid(),
+		Fast:    cfg.Fidelity != Full,
+		Workers: cfg.FieldWorkers,
+		Cache:   cfg.Cache,
 	})
 	if err != nil {
 		rp.Run.Err = fmt.Errorf("pvfloor: district retry (%s): field: %w", rp.Run.Name, err)
@@ -455,7 +364,6 @@ func (cfg DistrictConfig) roofConfig(sc *scenario.Scenario, n int) Config {
 		Grid:         cfg.Grid,
 		Optimizer:    cfg.Optimizer,
 		SkipBaseline: cfg.SkipBaseline,
-		CacheDir:     cfg.CacheDir,
 		Cache:        cfg.Cache,
 	}
 }
@@ -490,58 +398,5 @@ func autoModules(sc *scenario.Scenario, maxModules int) int {
 // plus aggregate totals — the district-scale analogue of the paper's
 // Table I.
 func DistrictTable(res *DistrictResult) string {
-	tbl := report.NewTable("Rank", "Roof", "Bldg", "WxL", "Suit", "Slope", "Aspect", "N",
-		"Trad MWh", "Prop MWh", "Gain%", "Wire m")
-	addRow := func(rank string, rp *RoofPlan) {
-		name := fmt.Sprintf("roof%02d", rp.Roof.ID)
-		// Segmented buildings read "1.2" (building 1, plane 2) so the
-		// two halves of a gable are recognisably one house.
-		bldg := fmt.Sprint(rp.Roof.Building)
-		if rp.Roof.Segment > 0 {
-			bldg = fmt.Sprintf("%d.%d", rp.Roof.Building, rp.Roof.Segment)
-		}
-		dims := fmt.Sprintf("%dx%d", rp.Roof.Rect.W(), rp.Roof.Rect.H())
-		slope := fmt.Sprintf("%.1f", rp.Roof.Plane.SlopeDeg)
-		aspect := fmt.Sprintf("%.0f", rp.Roof.Plane.AspectDeg)
-		o := rp.Outcome()
-		if o.Planned {
-			tbl.AddRow(rank, name, bldg, dims, fmt.Sprint(rp.Roof.Suitable.Count()), slope, aspect,
-				fmt.Sprint(rp.Modules),
-				fmt.Sprintf("%.3f", o.TraditionalMWh),
-				fmt.Sprintf("%.3f", o.ProposedMWh),
-				fmt.Sprintf("%+.2f", o.GainPct),
-				fmt.Sprintf("%.1f", o.WiringExtraM))
-			return
-		}
-		why := rp.Skipped
-		if why == "" && o.RunErr != "" {
-			why = "failed: " + o.RunErr
-		}
-		tbl.AddRow(rank, name, bldg, dims, fmt.Sprint(rp.Roof.Suitable.Count()), slope, aspect,
-			"-", why)
-	}
-	for rank, pi := range res.Ranked {
-		addRow(fmt.Sprint(rank+1), &res.Plans[pi])
-	}
-	ranked := make(map[int]bool, len(res.Ranked))
-	for _, pi := range res.Ranked {
-		ranked[pi] = true
-	}
-	for i := range res.Plans {
-		if !ranked[i] {
-			addRow("-", &res.Plans[i])
-		}
-	}
-	out := tbl.String()
-	out += fmt.Sprintf("\nDistrict totals: %d/%d roofs planned, traditional %.3f MWh, proposed %.3f MWh (%+.2f%%), extra wiring %.1f m\n",
-		len(res.Ranked), len(res.Plans), res.TotalTraditionalMWh, res.TotalProposedMWh,
-		res.DistrictGainPct(), res.TotalWiringExtraM)
-	if res.Econ != nil {
-		plans := make([]*RoofPlan, len(res.Plans))
-		for i := range res.Plans {
-			plans[i] = &res.Plans[i]
-		}
-		out += econTable(plans, res.Ranked, res.Econ)
-	}
-	return out
+	return fleetTable(res.roofPlans(), &res.FleetSummary)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/district"
 	"repro/internal/geom"
 	"repro/internal/solar/field"
 )
@@ -120,54 +121,69 @@ type DistrictReport struct {
 // Roofs appear in extraction (ID) order; Rank carries the best-first
 // ranking (1 = best, 0 = unplanned).
 func NewDistrictReport(res *DistrictResult) DistrictReport {
+	plans := res.roofPlans()
 	out := DistrictReport{
 		GroundZ:   res.Extraction.GroundZ,
 		CellSizeM: res.Extraction.CellSizeM,
-		Totals: TotalsReport{
-			RoofsExtracted:  len(res.Plans),
-			RoofsPlanned:    len(res.Ranked),
-			ProposedMWh:     res.TotalProposedMWh,
-			TraditionalMWh:  res.TotalTraditionalMWh,
-			DistrictGainPct: res.DistrictGainPct(),
-			WiringExtraM:    res.TotalWiringExtraM,
-			Econ:            NewEconTotalsReport(res.Econ),
-		},
+		Dropped:   droppedReports(res.Extraction.Dropped),
+		Totals:    res.totalsReport(len(plans)),
 	}
-	rank := make(map[int]int, len(res.Ranked))
-	for i, pi := range res.Ranked {
-		rank[pi] = i + 1
+	rank := res.rankOf(len(plans))
+	for i, rp := range plans {
+		out.Roofs = append(out.Roofs, newRoofReport(rp, rank[i]))
 	}
-	for i := range res.Plans {
-		rp := &res.Plans[i]
-		rj := RoofReport{
-			ID:            rp.Roof.ID,
-			Building:      rp.Roof.Building,
-			Segment:       rp.Roof.Segment,
-			Rect:          NewRectReport(rp.Roof.Rect),
-			Cells:         rp.Roof.Cells,
-			SuitableCells: rp.Roof.Suitable.Count(),
-			SlopeDeg:      rp.Roof.Plane.SlopeDeg,
-			AspectDeg:     rp.Roof.Plane.AspectDeg,
-			FitRMSM:       rp.Roof.FitRMSM,
-			MeanHeightM:   rp.Roof.MeanHeightM,
-			Rank:          rank[i],
-			Skipped:       rp.Skipped,
-		}
-		if o := rp.Outcome(); o.Planned {
-			gain := o.GainPct
-			rj.Modules = rp.Modules
-			rj.ProposedMWh = o.ProposedMWh
-			rj.TraditionalMWh = o.TraditionalMWh
-			rj.GainPct = &gain
-			rj.WiringExtraM = o.WiringExtraM
-			rj.Econ = rp.Econ
-		} else if o.RunErr != "" {
-			rj.Error = o.RunErr
-		}
-		out.Roofs = append(out.Roofs, rj)
+	return out
+}
+
+// totalsReport flattens the summary over a fleet of n roofs.
+func (fs *FleetSummary) totalsReport(n int) TotalsReport {
+	return TotalsReport{
+		RoofsExtracted:  n,
+		RoofsPlanned:    len(fs.Ranked),
+		ProposedMWh:     fs.TotalProposedMWh,
+		TraditionalMWh:  fs.TotalTraditionalMWh,
+		DistrictGainPct: fs.GainPct(),
+		WiringExtraM:    fs.TotalWiringExtraM,
+		Econ:            NewEconTotalsReport(fs.Econ),
 	}
-	for _, d := range res.Extraction.Dropped {
-		out.Dropped = append(out.Dropped, DroppedReport{
+}
+
+// newRoofReport flattens one roof plan into its report row at the
+// given 1-based rank (0 = unranked).
+func newRoofReport(rp *RoofPlan, rank int) RoofReport {
+	rj := RoofReport{
+		ID:            rp.Roof.ID,
+		Building:      rp.Roof.Building,
+		Segment:       rp.Roof.Segment,
+		Rect:          NewRectReport(rp.Roof.Rect),
+		Cells:         rp.Roof.Cells,
+		SuitableCells: rp.Roof.Suitable.Count(),
+		SlopeDeg:      rp.Roof.Plane.SlopeDeg,
+		AspectDeg:     rp.Roof.Plane.AspectDeg,
+		FitRMSM:       rp.Roof.FitRMSM,
+		MeanHeightM:   rp.Roof.MeanHeightM,
+		Rank:          rank,
+		Skipped:       rp.Skipped,
+	}
+	if o := rp.Outcome(); o.Planned {
+		gain := o.GainPct
+		rj.Modules = rp.Modules
+		rj.ProposedMWh = o.ProposedMWh
+		rj.TraditionalMWh = o.TraditionalMWh
+		rj.GainPct = &gain
+		rj.WiringExtraM = o.WiringExtraM
+		rj.Econ = rp.Econ
+	} else if o.RunErr != "" {
+		rj.Error = o.RunErr
+	}
+	return rj
+}
+
+// droppedReports flattens rejected candidate regions.
+func droppedReports(dropped []district.Dropped) []DroppedReport {
+	var out []DroppedReport
+	for _, d := range dropped {
+		out = append(out, DroppedReport{
 			Rect: NewRectReport(d.Rect), Cells: d.Cells, Reason: string(d.Reason),
 		})
 	}
@@ -223,15 +239,8 @@ func NewCityReport(cr *CityResult) CityReport {
 		CellSizeM: cr.CellSizeM,
 		TileCells: cr.TileCells,
 		HaloCells: cr.HaloCells,
-		Totals: TotalsReport{
-			RoofsExtracted:  len(cr.Plans),
-			RoofsPlanned:    len(cr.Ranked),
-			ProposedMWh:     cr.TotalProposedMWh,
-			TraditionalMWh:  cr.TotalTraditionalMWh,
-			DistrictGainPct: cr.CityGainPct(),
-			WiringExtraM:    cr.TotalWiringExtraM,
-			Econ:            NewEconTotalsReport(cr.Econ),
-		},
+		Dropped:   droppedReports(cr.Dropped),
+		Totals:    cr.totalsReport(len(cr.Plans)),
 	}
 	for _, ti := range cr.Tiles {
 		tr := CityTileReport{
@@ -247,43 +256,10 @@ func NewCityReport(cr *CityResult) CityReport {
 		}
 		out.Tiles = append(out.Tiles, tr)
 	}
-	rank := make(map[int]int, len(cr.Ranked))
-	for i, pi := range cr.Ranked {
-		rank[pi] = i + 1
-	}
+	rank := cr.rankOf(len(cr.Plans))
 	for i := range cr.Plans {
 		cp := &cr.Plans[i]
-		rj := RoofReport{
-			ID:            cp.Roof.ID,
-			Building:      cp.Roof.Building,
-			Segment:       cp.Roof.Segment,
-			Rect:          NewRectReport(cp.Roof.Rect),
-			Cells:         cp.Roof.Cells,
-			SuitableCells: cp.Roof.Suitable.Count(),
-			SlopeDeg:      cp.Roof.Plane.SlopeDeg,
-			AspectDeg:     cp.Roof.Plane.AspectDeg,
-			FitRMSM:       cp.Roof.FitRMSM,
-			MeanHeightM:   cp.Roof.MeanHeightM,
-			Rank:          rank[i],
-			Skipped:       cp.Skipped,
-		}
-		if o := cp.Outcome(); o.Planned {
-			gain := o.GainPct
-			rj.Modules = cp.Modules
-			rj.ProposedMWh = o.ProposedMWh
-			rj.TraditionalMWh = o.TraditionalMWh
-			rj.GainPct = &gain
-			rj.WiringExtraM = o.WiringExtraM
-			rj.Econ = cp.Econ
-		} else if o.RunErr != "" {
-			rj.Error = o.RunErr
-		}
-		out.Roofs = append(out.Roofs, CityRoofReport{RoofReport: rj, Tile: cp.Tile})
-	}
-	for _, d := range cr.Dropped {
-		out.Dropped = append(out.Dropped, DroppedReport{
-			Rect: NewRectReport(d.Rect), Cells: d.Cells, Reason: string(d.Reason),
-		})
+		out.Roofs = append(out.Roofs, CityRoofReport{RoofReport: newRoofReport(&cp.RoofPlan, rank[i]), Tile: cp.Tile})
 	}
 	return out
 }

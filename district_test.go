@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/district"
 	"repro/internal/dsm"
+	"repro/internal/fieldcache"
 	"repro/internal/gis"
 	"repro/internal/solar/horizon"
 )
@@ -114,8 +115,7 @@ func TestRunDistrictDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		res, err := RunDistrict(DistrictConfig{
 			Tile:         tile,
-			Concurrency:  w,
-			FieldWorkers: w,
+			FleetOptions: FleetOptions{Concurrency: w, FieldWorkers: w},
 		})
 		if err != nil {
 			t.Fatalf("workers %d: %v", w, err)
@@ -148,7 +148,7 @@ func TestRunDistrictDeterministicAcrossWorkers(t *testing.T) {
 // the roof.
 func TestRunDistrictShrinksOverSizedRequest(t *testing.T) {
 	tile := loadNeighborhoodTile(t)
-	res, err := RunDistrict(DistrictConfig{Tile: tile, Modules: 24})
+	res, err := RunDistrict(DistrictConfig{Tile: tile, FleetOptions: FleetOptions{Modules: 24}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestRunDistrictEmptyAndInvalid(t *testing.T) {
 	// A cap below one string can never plan anything; it must be
 	// rejected up front rather than silently skipping every roof.
 	tile := loadNeighborhoodTile(t)
-	if _, err := RunDistrict(DistrictConfig{Tile: tile, MaxModules: 4}); err == nil {
+	if _, err := RunDistrict(DistrictConfig{Tile: tile, FleetOptions: FleetOptions{MaxModules: 4}}); err == nil {
 		t.Error("MaxModules below one 8-module string accepted")
 	}
 	for _, n := range []int{4, 12, -8} {
-		if _, err := RunDistrict(DistrictConfig{Tile: tile, Modules: n}); err == nil {
+		if _, err := RunDistrict(DistrictConfig{Tile: tile, FleetOptions: FleetOptions{Modules: n}}); err == nil {
 			t.Errorf("Modules=%d accepted (must be a positive multiple of 8)", n)
 		}
 	}
@@ -231,7 +231,11 @@ func TestRunDistrictSharedCacheConcurrentReuse(t *testing.T) {
 	}
 	tile := loadNeighborhoodTile(t)
 	dir := t.TempDir()
-	warm, err := RunDistrict(DistrictConfig{Tile: tile, CacheDir: dir})
+	cache, err := fieldcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := RunDistrict(DistrictConfig{Tile: tile, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +250,13 @@ func TestRunDistrictSharedCacheConcurrentReuse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunDistrict(DistrictConfig{Tile: tile, CacheDir: dir, Concurrency: 2})
+			// One handle per run, as separate processes would hold.
+			cache, err := fieldcache.Open(dir)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := RunDistrict(DistrictConfig{Tile: tile, FleetOptions: FleetOptions{Concurrency: 2}, Cache: cache})
 			if err != nil {
 				errs[i] = err
 				return
@@ -269,4 +279,14 @@ func TestRunDistrictSharedCacheConcurrentReuse(t *testing.T) {
 				i, ref, fp)
 		}
 	}
+}
+
+// openTestCache opens a fresh artifact cache in a test temp dir.
+func openTestCache(t testing.TB) *fieldcache.Cache {
+	t.Helper()
+	cache, err := fieldcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache
 }

@@ -204,15 +204,6 @@ type FleetEcon struct {
 	TotalAnnualRevenueUSD float64
 }
 
-// fleetTotals is the econ pass's replacement aggregate: the new
-// ranking plus energy totals over the admitted subset.
-type fleetTotals struct {
-	ranked                      []int
-	fleet                       *FleetEcon
-	proposedMWh, traditionalMWh float64
-	wiringM                     float64
-}
-
 // assessRoof prices one planned roof across the catalog and returns
 // the NPV-maximising class (ties keep the earlier catalog entry).
 func assessRoof(o PlanOutcome, modules int, cost econ.CostModel, fin econ.Financials, catalog []PanelClass) (*EconReport, error) {
@@ -258,17 +249,15 @@ func assessRoof(o PlanOutcome, modules int, cost econ.CostModel, fin econ.Financ
 	return best, nil
 }
 
-// assessFleet runs the economics pass over a fleet of roof plans:
-// price every planned roof (selecting its panel class), admit against
-// the budget, re-rank per the objective, and total the admitted
-// subset. It reads only flattened PlanOutcomes and Modules, so live
-// and checkpoint-restored plans price identically, and it is
-// idempotent — re-running it on the same plans reproduces the same
-// ranking and totals.
-func (ec EconConfig) assessFleet(plans []*RoofPlan) (fleetTotals, error) {
+// assessFleet is the economics half of the fleet pass: it prices
+// every planned roof (selecting its panel class into RoofPlan.Econ)
+// and admits roofs against the budget. rankFleet then ranks and totals
+// the admitted subset. It reads only flattened PlanOutcomes and
+// Modules, so live and checkpoint-restored plans price identically.
+func (ec EconConfig) assessFleet(plans []*RoofPlan) (*FleetEcon, error) {
 	cost, fin, catalog, rankBy, err := ec.resolved()
 	if err != nil {
-		return fleetTotals{}, err
+		return nil, err
 	}
 
 	var planned []int
@@ -279,7 +268,7 @@ func (ec EconConfig) assessFleet(plans []*RoofPlan) (fleetTotals, error) {
 		}
 		rep, err := assessRoof(rp.Outcome(), rp.Modules, cost, fin, catalog)
 		if err != nil {
-			return fleetTotals{}, fmt.Errorf("pvfloor: econ roof %d: %w", rp.Roof.ID, err)
+			return nil, fmt.Errorf("pvfloor: econ roof %d: %w", rp.Roof.ID, err)
 		}
 		rp.Econ = rep
 		planned = append(planned, i)
@@ -314,94 +303,7 @@ func (ec EconConfig) assessFleet(plans []*RoofPlan) (fleetTotals, error) {
 			plans[i].Econ.Admitted = true
 		}
 	}
-
-	ft := fleetTotals{
-		fleet: &FleetEcon{RankBy: rankBy, BudgetUSD: ec.BudgetUSD},
-	}
-	for _, i := range planned {
-		e := plans[i].Econ
-		if !e.Admitted {
-			continue
-		}
-		o := plans[i].Outcome()
-		ft.ranked = append(ft.ranked, i)
-		ft.proposedMWh += o.ProposedMWh
-		ft.traditionalMWh += o.TraditionalMWh
-		ft.wiringM += o.WiringExtraM
-		ft.fleet.RoofsAdmitted++
-		ft.fleet.TotalCapexUSD += e.CapexUSD
-		ft.fleet.TotalNPVUSD += e.NPVUSD
-		ft.fleet.TotalAnnualRevenueUSD += e.AnnualRevenueUSD
-	}
-	sort.SliceStable(ft.ranked, func(a, b int) bool {
-		ia, ib := ft.ranked[a], ft.ranked[b]
-		switch rankBy {
-		case RankByNPV:
-			na, nb := plans[ia].Econ.NPVUSD, plans[ib].Econ.NPVUSD
-			if na != nb {
-				return na > nb
-			}
-		case RankByPayback:
-			pa, pb := plans[ia].Econ.PaybackYears, plans[ib].Econ.PaybackYears
-			// nil = never pays back = worst.
-			switch {
-			case pa == nil && pb == nil:
-			case pa == nil:
-				return false
-			case pb == nil:
-				return true
-			case *pa != *pb:
-				return *pa < *pb
-			}
-		default: // RankByEnergy — today's comparator, bit-identical.
-			ea, eb := plans[ia].Outcome().ProposedMWh, plans[ib].Outcome().ProposedMWh
-			if ea != eb {
-				return ea > eb
-			}
-		}
-		return ia < ib
-	})
-	return ft, nil
-}
-
-// applyEconomics runs the fleet economics pass over a district result,
-// replacing its ranking and totals with the admitted subset's.
-func (dr *DistrictResult) applyEconomics(ec EconConfig) error {
-	plans := make([]*RoofPlan, len(dr.Plans))
-	for i := range dr.Plans {
-		plans[i] = &dr.Plans[i]
-	}
-	ft, err := ec.assessFleet(plans)
-	if err != nil {
-		return err
-	}
-	dr.Ranked = ft.ranked
-	dr.Econ = ft.fleet
-	dr.TotalProposedMWh = ft.proposedMWh
-	dr.TotalTraditionalMWh = ft.traditionalMWh
-	dr.TotalWiringExtraM = ft.wiringM
-	return nil
-}
-
-// applyEconomics runs the fleet economics pass over a stitched city
-// result — after stitching, so live and checkpoint-restored tiles
-// price through the identical code path and the budget spans the
-// whole city, not each tile.
-func (cr *CityResult) applyEconomics(ec EconConfig) error {
-	plans := make([]*RoofPlan, len(cr.Plans))
-	for i := range cr.Plans {
-		plans[i] = &cr.Plans[i].RoofPlan
-	}
-	ft, err := ec.assessFleet(plans)
-	if err != nil {
-		return err
-	}
-	cr.Ranked = ft.ranked
-	cr.Econ = ft.fleet
-	cr.TotalProposedMWh = ft.proposedMWh
-	cr.TotalTraditionalMWh = ft.traditionalMWh
-	cr.TotalWiringExtraM = ft.wiringM
-	return nil
+	return &FleetEcon{RankBy: rankBy, BudgetUSD: ec.BudgetUSD}, nil
 }
 
 // econTable renders the admitted fleet's economics as a ranked table

@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/district"
+	"repro/internal/fieldcache"
 	"repro/internal/gis"
 )
 
 // runNeighborhoodEcon sweeps the committed neighborhood tile with the
-// given economics config, sharing one artifact cache dir so repeated
-// runs inside a test skip the physics.
-func runNeighborhoodEcon(t *testing.T, cacheDir string, ec EconConfig) *DistrictResult {
+// given economics config, sharing one artifact cache so repeated runs
+// inside a test skip the physics.
+func runNeighborhoodEcon(t *testing.T, cache *fieldcache.Cache, ec EconConfig) *DistrictResult {
 	t.Helper()
 	res, err := RunDistrict(DistrictConfig{
-		Tile:      loadNeighborhoodTile(t),
-		CacheDir:  cacheDir,
-		Economics: ec,
+		Tile:         loadNeighborhoodTile(t),
+		FleetOptions: FleetOptions{Economics: ec},
+		Cache:        cache,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +31,7 @@ func runNeighborhoodEcon(t *testing.T, cacheDir string, ec EconConfig) *District
 // objective reproduces today's ranking and energy totals bit for bit
 // — the pass only annotates, it never perturbs.
 func TestEconRankByEnergyBitIdentical(t *testing.T) {
-	cache := t.TempDir()
+	cache := openTestCache(t)
 	plain := runNeighborhoodEcon(t, cache, EconConfig{})
 	econ := runNeighborhoodEcon(t, cache, EconConfig{Enabled: true, RankBy: RankByEnergy})
 
@@ -77,7 +78,7 @@ func TestEconRankByEnergyBitIdentical(t *testing.T) {
 // TestEconRankByNPVOrdering checks the npv objective actually orders
 // by descending NPV (ties by plan index).
 func TestEconRankByNPVOrdering(t *testing.T) {
-	res := runNeighborhoodEcon(t, t.TempDir(), EconConfig{Enabled: true, RankBy: RankByNPV})
+	res := runNeighborhoodEcon(t, openTestCache(t), EconConfig{Enabled: true, RankBy: RankByNPV})
 	if len(res.Ranked) < 2 {
 		t.Fatalf("ranked %d roofs, want >= 2", len(res.Ranked))
 	}
@@ -97,7 +98,7 @@ func TestEconRankByNPVOrdering(t *testing.T) {
 // budget-feasible, positive-NPV subset and restricts ranking and
 // totals to it.
 func TestEconBudgetAdmitsFeasibleSubset(t *testing.T) {
-	cache := t.TempDir()
+	cache := openTestCache(t)
 	full := runNeighborhoodEcon(t, cache, EconConfig{Enabled: true, RankBy: RankByNPV})
 	if full.Econ.TotalCapexUSD <= 0 {
 		t.Fatalf("full fleet capex $%.0f", full.Econ.TotalCapexUSD)
@@ -157,7 +158,7 @@ func TestEconBudgetAdmitsFeasibleSubset(t *testing.T) {
 // strictly dominant class (twice the energy for a nominal price bump)
 // wins everywhere, and a single-class catalog leaves no choice.
 func TestEconPanelClassSelection(t *testing.T) {
-	cache := t.TempDir()
+	cache := openTestCache(t)
 	dominant := runNeighborhoodEcon(t, cache, EconConfig{
 		Enabled: true,
 		Catalog: []PanelClass{
@@ -219,12 +220,12 @@ func TestEconConfigValidate(t *testing.T) {
 // tiling.
 func TestCityEconBudgetSpansCity(t *testing.T) {
 	tile := loadNeighborhoodTile(t)
-	cache := t.TempDir()
+	cache := openTestCache(t)
 	full, err := RunCity(CityConfig{
-		Source:    &gis.RasterSource{Raster: tile},
-		TileCells: 80, // 2×2 tile grid
-		CacheDir:  cache,
-		Economics: EconConfig{Enabled: true, RankBy: RankByNPV},
+		Source:       &gis.RasterSource{Raster: tile},
+		TileCells:    80, // 2×2 tile grid
+		Cache:        cache,
+		FleetOptions: FleetOptions{Economics: EconConfig{Enabled: true, RankBy: RankByNPV}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,10 +236,10 @@ func TestCityEconBudgetSpansCity(t *testing.T) {
 
 	budget := full.Econ.TotalCapexUSD / 2
 	capped, err := RunCity(CityConfig{
-		Source:    &gis.RasterSource{Raster: tile},
-		TileCells: 80,
-		CacheDir:  cache,
-		Economics: EconConfig{Enabled: true, RankBy: RankByNPV, BudgetUSD: budget},
+		Source:       &gis.RasterSource{Raster: tile},
+		TileCells:    80,
+		Cache:        cache,
+		FleetOptions: FleetOptions{Economics: EconConfig{Enabled: true, RankBy: RankByNPV, BudgetUSD: budget}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestReportZeroValueRoundTrip(t *testing.T) {
 // the econ rows end to end and marshals cleanly (the Inf-payback
 // regression would poison the whole report otherwise).
 func TestDistrictReportEconSurfaces(t *testing.T) {
-	res := runNeighborhoodEcon(t, t.TempDir(), EconConfig{Enabled: true, RankBy: RankByNPV})
+	res := runNeighborhoodEcon(t, openTestCache(t), EconConfig{Enabled: true, RankBy: RankByNPV})
 	rep := NewDistrictReport(res)
 	if rep.Totals.Econ == nil {
 		t.Fatal("report totals lost the fleet summary")
@@ -328,7 +329,7 @@ func TestDistrictReportEconSurfaces(t *testing.T) {
 // TestEconTableRendering smoke-tests the human-readable table: the
 // econ section appends to the district table with the fleet summary.
 func TestEconTableRendering(t *testing.T) {
-	res := runNeighborhoodEcon(t, t.TempDir(), EconConfig{Enabled: true, BudgetUSD: 1e9})
+	res := runNeighborhoodEcon(t, openTestCache(t), EconConfig{Enabled: true, BudgetUSD: 1e9})
 	out := DistrictTable(res)
 	for _, want := range []string{"NPV/$", "Fleet economics", "budget $1000000000", "roofs admitted"} {
 		if !strings.Contains(out, want) {

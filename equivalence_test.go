@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/district"
+	"repro/internal/dsm"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/objective"
@@ -382,46 +384,79 @@ func TestSharedHorizonEquivalenceOnRoofs(t *testing.T) {
 	}
 }
 
-// TestDistrictSharedHorizonEquivalence is the district-level contract:
-// on the neighborhood tile, the shared-tile horizon path (the default)
-// and the per-roof escape hatch must produce bit-identical district
-// results — placements, energies, ranking — for Concurrency and
+// TestDistrictSharedHorizonEquivalence is the district-level contract
+// of the shared tile horizon: on the neighborhood tile, the district
+// run (one march per tile, sliced per roof) must equal the paper's
+// single-roof path — every extracted roof planned on its own via Run,
+// with no shared horizon, at the district's final module count — bit
+// for bit (placements, energies, ranking, totals) for Concurrency and
 // FieldWorkers 1, 2 and 8, while building the horizon exactly once per
-// tile instead of once per roof.
+// tile.
 func TestDistrictSharedHorizonEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six district sweeps")
+		t.Skip("runs three district sweeps plus a per-roof reference")
 	}
 	tile := loadNeighborhoodTile(t)
 	var ref string
 	for _, w := range []int{1, 2, 8} {
-		for _, perRoof := range []bool{false, true} {
-			before := horizon.BuildCount()
-			res, err := RunDistrict(DistrictConfig{
-				Tile:           tile,
-				PerRoofHorizon: perRoof,
-				Concurrency:    w,
-				FieldWorkers:   w,
-			})
-			if err != nil {
-				t.Fatalf("workers %d perRoof %v: %v", w, perRoof, err)
-			}
-			builds := horizon.BuildCount() - before
-			if perRoof {
-				if want := uint64(len(res.Plans)); builds != want {
-					t.Errorf("workers %d per-roof: %d horizon builds, want %d (one per roof)",
-						w, builds, want)
-				}
-			} else if builds != 1 {
-				t.Errorf("workers %d shared: %d horizon builds, want exactly 1 per tile", w, builds)
-			}
-			fp := districtFingerprint(res)
-			if ref == "" {
-				ref = fp
-			} else if fp != ref {
-				t.Fatalf("workers %d perRoof %v: district result differs:\n--- ref ---\n%s--- got ---\n%s",
-					w, perRoof, ref, fp)
-			}
+		before := horizon.BuildCount()
+		res, err := RunDistrict(DistrictConfig{
+			Tile:         tile,
+			FleetOptions: FleetOptions{Concurrency: w, FieldWorkers: w},
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", w, err)
+		}
+		if builds := horizon.BuildCount() - before; builds != 1 {
+			t.Errorf("workers %d: %d horizon builds, want exactly 1 per tile", w, builds)
+		}
+		if ref == "" {
+			ref = districtFingerprint(perRoofReference(t, tile, res))
+		}
+		if fp := districtFingerprint(res); fp != ref {
+			t.Fatalf("workers %d: district result differs from the per-roof reference:\n--- ref ---\n%s--- got ---\n%s",
+				w, ref, fp)
 		}
 	}
+}
+
+// perRoofReference replans a district on the single-roof path: a
+// fresh extraction of the tile, each roof's scenario (no shared
+// horizon, so its field marches its own map) through Run at the
+// module count the district settled on, then the fleet ranking.
+func perRoofReference(t *testing.T, tile *dsm.Raster, dr *DistrictResult) *DistrictResult {
+	t.Helper()
+	ex, err := district.Extract(tile, nil, district.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs, err := ex.Scenarios(tile, district.SiteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scs) != len(dr.Plans) {
+		t.Fatalf("reference extracted %d roofs, district %d", len(scs), len(dr.Plans))
+	}
+	ref := &DistrictResult{Extraction: ex, Plans: make([]RoofPlan, len(scs))}
+	before, planned := horizon.BuildCount(), 0
+	for i, sc := range scs {
+		if sc.SharedHorizon != nil {
+			t.Fatal("fresh scenario carries a shared horizon")
+		}
+		rp := &ref.Plans[i]
+		rp.Roof, rp.Scenario = ex.Roofs[i], sc
+		rp.Modules, rp.Skipped = dr.Plans[i].Modules, dr.Plans[i].Skipped
+		if rp.Skipped != "" {
+			continue
+		}
+		planned++
+		rp.Run.Result, rp.Run.Err = Run(Config{Scenario: sc, Modules: rp.Modules})
+	}
+	if builds := horizon.BuildCount() - before; builds != uint64(planned) {
+		t.Errorf("per-roof reference: %d horizon builds, want %d (one per roof)", builds, planned)
+	}
+	if ref.FleetSummary, err = rankFleet(ref.roofPlans(), EconConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	return ref
 }

@@ -245,11 +245,11 @@ func TestGoldenDistrictReportEcon(t *testing.T) {
 	tile := loadNeighborhoodTile(t)
 	res, err := RunDistrict(DistrictConfig{
 		Tile: tile,
-		Economics: EconConfig{
+		FleetOptions: FleetOptions{Economics: EconConfig{
 			Enabled:   true,
 			RankBy:    RankByNPV,
 			BudgetUSD: 60000,
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,15 +123,11 @@ type FieldConfig struct {
 	// construction and statistics: 0 = one worker per CPU, 1 = the
 	// serial reference path. Results are identical for every value.
 	Workers int
-	// CacheDir, when non-empty, enables the persistent field-artifact
-	// cache in that directory: horizon maps and per-cell statistics
-	// are fingerprinted and reused across runs and processes. Cached
-	// results are bit-identical to cold computation.
-	CacheDir string
-	// Cache, when non-nil, is the artifact cache handle to use
-	// directly and takes precedence over CacheDir. Passing a handle
-	// lets many runs share one set of metrics counters (and one
-	// remote blob tier) instead of opening a fresh handle per field.
+	// Cache, when non-nil, enables the persistent field-artifact
+	// cache: horizon maps and per-cell statistics are fingerprinted
+	// and reused across runs and processes. Cached results are
+	// bit-identical to cold computation. Passing one handle to many
+	// runs shares its metrics counters (and any remote blob tier).
 	Cache *fieldcache.Cache
 }
 
@@ -158,12 +154,6 @@ func (s *Scenario) FieldWith(cfg FieldConfig) (*field.Evaluator, error) {
 	if cfg.Fast {
 		hopts = FastHorizonOptions()
 	}
-	cache := cfg.Cache
-	if cache == nil && cfg.CacheDir != "" {
-		if cache, err = fieldcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	return field.New(field.Config{
 		Site:          s.Site,
 		Scene:         s.Scene,
@@ -173,7 +163,7 @@ func (s *Scenario) FieldWith(cfg FieldConfig) (*field.Evaluator, error) {
 		MonthlyTL:     s.MonthlyTL,
 		Horizon:       hopts,
 		Workers:       cfg.Workers,
-		Cache:         cache,
+		Cache:         cfg.Cache,
 		SharedHorizon: s.SharedHorizon,
 	})
 }

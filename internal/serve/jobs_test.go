@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +160,36 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	}
 	if w := postJSON(t, s, "/v1/jobs", `{"city":{"demo":true,"tile_retries":-1}}`); w.Code != http.StatusBadRequest {
 		t.Errorf("invalid submit = %d, want 400 (%s)", w.Code, w.Body)
+	}
+}
+
+// TestJobSubmitRejectsInvalidMaxModules pins submit-time validation
+// of the plan options: a max_modules below one 8-module string (or
+// negative) answers 400 invalid_request before admission, and no job
+// directory or manifest is written.
+func TestJobSubmitRejectsInvalidMaxModules(t *testing.T) {
+	dir := t.TempDir()
+	store, err := jobs.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Jobs: store})
+	for _, maxModules := range []int{4, -3} {
+		body := fmt.Sprintf(`{"city":{"demo":true,"max_modules":%d}}`, maxModules)
+		w := postJSON(t, s, "/v1/jobs", body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "invalid_request") {
+			t.Errorf("max_modules %d: submit = %d, want 400 invalid_request (%s)", maxModules, w.Code, w.Body)
+		}
+	}
+	if ms := store.List(); len(ms) != 0 {
+		t.Errorf("rejected submits left %d manifests: %+v", len(ms), ms)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("rejected submits wrote %d entries under the job store", len(ents))
 	}
 }
 

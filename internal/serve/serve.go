@@ -346,7 +346,7 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 		writeTileError(w, err)
 		return
 	}
-	cfg, err := s.districtConfig(req, nil, nil)
+	cfg, err := s.districtConfig(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -384,10 +384,11 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 // handleCity streams a tiled city sweep as NDJSON: "tile-started" /
 // "tile-finished" lifecycle events per work tile, roof events with
 // tile provenance in city coordinates, then a final deterministic
-// "result" event embedding the shared pvfloor.CityReport. The grid
-// ships in the body, so this surface exercises the tiled pipeline on
-// request-sized cities; true out-of-core ingestion (windowed ASC
-// files beyond memory) lives in cmd/pvdistrict -city.
+// "result" event embedding the shared pvfloor.CityReport. A tile_ref
+// request is ingested out of core — citySource windows the stored
+// upload through gis.OpenWindowed, O(window) memory however large the
+// grid — while inline and demo tiles run the same tiled pipeline over
+// their in-memory raster.
 func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 	var req CityRequest
 	if !s.decode(w, r, &req) {

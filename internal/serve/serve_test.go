@@ -96,6 +96,8 @@ func TestRequestValidation(t *testing.T) {
 		{"district ref+asc", "/v1/district", `{"tile_ref":"asc-ffff","tile_asc":"ncols 1"}`, "mutually exclusive"},
 		{"district bad tile", "/v1/district", `{"tile_asc":"not a grid"}`, "parsing tile_asc"},
 		{"district ragged modules", "/v1/district", `{"demo":true,"modules":3}`, "multiple of 8"},
+		{"district max_modules below a string", "/v1/district", `{"demo":true,"max_modules":4}`, "MaxModules 4"},
+		{"city max_modules below a string", "/v1/city", `{"demo":true,"max_modules":4}`, "MaxModules 4"},
 		{"district bad rank-by", "/v1/district", `{"demo":true,"econ":{"rank_by":"alphabetical"}}`, "unknown rank-by"},
 		{"district negative budget", "/v1/district", `{"demo":true,"econ":{"budget_usd":-1}}`, "negative budget"},
 		{"district bad panel class", "/v1/district", `{"demo":true,"econ":{"catalog":[{"name":"x","watts_stc":0}]}}`, "nameplate"},
@@ -281,7 +283,7 @@ func TestEconRequestMapping(t *testing.T) {
 	s := newTestServer(t, Options{})
 	cfg, err := s.districtConfig(DistrictRequest{
 		Econ: &EconRequest{RankBy: "npv", BudgetUSD: 5000, TariffUSDPerKWh: 0.3},
-	}, nil, nil)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestEconRequestMapping(t *testing.T) {
 		t.Errorf("partial override lost the defaults: %+v", ec.Financials)
 	}
 
-	plain, err := s.districtConfig(DistrictRequest{}, nil, nil)
+	plain, err := s.districtConfig(DistrictRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

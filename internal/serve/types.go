@@ -13,9 +13,7 @@ import (
 
 	pvfloor "repro"
 	"repro/internal/district"
-	"repro/internal/dsm"
 	"repro/internal/econ"
-	"repro/internal/geom"
 	"repro/internal/scenario"
 )
 
@@ -268,31 +266,23 @@ func (s *Server) runConfig(req RunRequest) (pvfloor.Config, error) {
 	}, nil
 }
 
-// districtConfig validates a DistrictRequest into a district config
-// bound to the server's pools and artifact cache (Context and
-// Progress are attached by the handler).
-func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *geom.Mask) (pvfloor.DistrictConfig, error) {
-	if req.Modules != 0 && (req.Modules < 8 || req.Modules%8 != 0) {
-		return pvfloor.DistrictConfig{}, fmt.Errorf("modules %d must be a multiple of 8 (or 0 to auto-size)", req.Modules)
-	}
+// fleetOptions validates the plan-shaping part of a district or city
+// request through the engine's own FleetOptions.Validate, bound to
+// the server's worker pools.
+func (s *Server) fleetOptions(req DistrictRequest) (pvfloor.FleetOptions, error) {
 	fid, err := parseFidelity(req.Fidelity)
 	if err != nil {
-		return pvfloor.DistrictConfig{}, err
+		return pvfloor.FleetOptions{}, err
 	}
 	opt, err := req.Optimizer.config()
 	if err != nil {
-		return pvfloor.DistrictConfig{}, err
+		return pvfloor.FleetOptions{}, err
 	}
 	var ec pvfloor.EconConfig
 	if req.Econ != nil {
 		ec = req.Econ.config()
-		if err := ec.Validate(); err != nil {
-			return pvfloor.DistrictConfig{}, err
-		}
 	}
-	return pvfloor.DistrictConfig{
-		Tile:   tile,
-		NoData: nodata,
+	opts := pvfloor.FleetOptions{
 		Extract: district.Options{
 			MinHeightM:          req.Extract.MinHeightM,
 			GroundPercentile:    req.Extract.GroundPercentile,
@@ -311,17 +301,31 @@ func (s *Server) districtConfig(req DistrictRequest, tile *dsm.Raster, nodata *g
 		Optimizer:    opt,
 		SkipBaseline: req.SkipBaseline,
 		Economics:    ec,
-		Cache:        s.cache,
 		Concurrency:  s.opts.Concurrency,
 		FieldWorkers: s.opts.FieldWorkers,
-	}, nil
+	}
+	if err := opts.Validate(); err != nil {
+		return pvfloor.FleetOptions{}, err
+	}
+	return opts, nil
+}
+
+// districtConfig validates a DistrictRequest into a district config
+// bound to the server's pools and artifact cache (Tile, Context and
+// Progress are attached by the handler).
+func (s *Server) districtConfig(req DistrictRequest) (pvfloor.DistrictConfig, error) {
+	opts, err := s.fleetOptions(req)
+	if err != nil {
+		return pvfloor.DistrictConfig{}, err
+	}
+	return pvfloor.DistrictConfig{FleetOptions: opts, Cache: s.cache}, nil
 }
 
 // cityConfig validates a CityRequest into a city config bound to the
 // server's pools and artifact cache (Source, Context and Progress are
 // attached by the handler).
 func (s *Server) cityConfig(req CityRequest) (pvfloor.CityConfig, error) {
-	dcfg, err := s.districtConfig(req.DistrictRequest, nil, nil)
+	opts, err := s.fleetOptions(req.DistrictRequest)
 	if err != nil {
 		return pvfloor.CityConfig{}, err
 	}
@@ -341,16 +345,8 @@ func (s *Server) cityConfig(req CityRequest) (pvfloor.CityConfig, error) {
 		TileRetries:  req.TileRetries,
 		TileTimeout:  time.Duration(req.TileTimeoutMS) * time.Millisecond,
 		Backoff:      time.Duration(req.BackoffMS) * time.Millisecond,
-		Extract:      dcfg.Extract,
-		Modules:      dcfg.Modules,
-		MaxModules:   dcfg.MaxModules,
-		Fidelity:     dcfg.Fidelity,
-		Optimizer:    dcfg.Optimizer,
-		SkipBaseline: dcfg.SkipBaseline,
-		Economics:    dcfg.Economics,
-		Cache:        dcfg.Cache,
-		Concurrency:  dcfg.Concurrency,
-		FieldWorkers: dcfg.FieldWorkers,
+		FleetOptions: opts,
+		Cache:        s.cache,
 	}, nil
 }
 

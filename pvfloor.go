@@ -152,22 +152,18 @@ type Config struct {
 	// documentation's Concurrency section). Within RunBatch, shared
 	// field groups use BatchOptions.FieldWorkers instead.
 	Workers int
-	// CacheDir, when non-empty, enables the persistent field-artifact
-	// cache in that directory: horizon maps and per-cell statistics
-	// are stored on disk keyed by a fingerprint of everything they
+	// Cache, when non-nil, enables the persistent field-artifact
+	// cache (open one with fieldcache.Open): horizon maps and per-cell
+	// statistics are stored keyed by a fingerprint of everything they
 	// depend on (DSM content, roof region, horizon options, calendar,
 	// site, turbidity, weather realisation, statistics config), so
 	// repeated runs over unchanged roofs — across processes, not just
 	// within one — skip horizon construction and the statistics pass.
 	// Cached results are bit-identical to cold computation; corrupt
 	// cache files are detected and recomputed. Concurrent runs and
-	// processes may share one directory.
-	CacheDir string
-	// Cache, when non-nil, is the artifact cache handle to use
-	// directly and takes precedence over CacheDir. A long-lived
-	// caller (pvserve) passes one handle to every run so hit/miss
-	// metrics aggregate in one place and a configured remote blob
-	// tier is shared instead of re-dialled per run.
+	// processes may share one directory; passing one handle to every
+	// run aggregates hit/miss metrics in one place and shares a
+	// configured remote blob tier.
 	Cache *fieldcache.Cache
 }
 
@@ -253,11 +249,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pvfloor: nil scenario")
 	}
 	ev, err := cfg.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:     cfg.effectiveGrid(),
-		Fast:     cfg.Fidelity != Full,
-		Workers:  cfg.Workers,
-		CacheDir: cfg.CacheDir,
-		Cache:    cfg.Cache,
+		Grid:    cfg.effectiveGrid(),
+		Fast:    cfg.Fidelity != Full,
+		Workers: cfg.Workers,
+		Cache:   cfg.Cache,
 	})
 	if err != nil {
 		return nil, err
