@@ -69,6 +69,9 @@ func (o FleetOptions) Validate() error {
 	if o.Modules != 0 && (o.Modules < 8 || o.Modules%8 != 0) {
 		return fmt.Errorf("pvfloor: Modules %d not a positive multiple of 8 (use 0 to auto-size)", o.Modules)
 	}
+	if err := o.Optimizer.Validate(); err != nil {
+		return err
+	}
 	return o.Economics.Validate()
 }
 

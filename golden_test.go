@@ -137,7 +137,7 @@ func TestGoldenRunBatch(t *testing.T) {
 	}
 	var cfgs []Config
 	for _, n := range []int{8, 16} {
-		for _, strat := range []Strategy{StrategyGreedy, StrategyMultiStart} {
+		for _, strat := range []Strategy{StrategyGreedy, StrategyAnneal, StrategyMultiStart} {
 			cfgs = append(cfgs, Config{
 				Scenario: sc, Modules: n,
 				Optimizer: OptimizerConfig{Strategy: strat, Seed: 1},

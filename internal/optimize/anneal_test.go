@@ -1,37 +1,14 @@
-package anneal
+package optimize
 
 import (
 	"testing"
 
 	"repro/internal/floorplan"
 	"repro/internal/geom"
+	"repro/internal/objective"
 	"repro/internal/panel"
 	"repro/internal/wiring"
 )
-
-func hotspotSuit(w, h int) *floorplan.Suitability {
-	s := &floorplan.Suitability{W: w, H: h, S: make([]float64, w*h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := 10.0
-			// Two hot islands the greedy may exploit suboptimally.
-			if x > w-12 && y > h-8 {
-				v = 100
-			}
-			if x < 12 && y < 8 {
-				v = 95
-			}
-			s.S[y*w+x] = v
-		}
-	}
-	return s
-}
-
-func fullMask(w, h int) *geom.Mask {
-	m := geom.NewMask(w, h)
-	m.Fill(true)
-	return m
-}
 
 func planFixture(t *testing.T) (*floorplan.Placement, *floorplan.Suitability, *geom.Mask) {
 	t.Helper()
@@ -47,28 +24,42 @@ func planFixture(t *testing.T) (*floorplan.Placement, *floorplan.Suitability, *g
 	return pl, suit, mask
 }
 
+// refine anneals pl against the objective of its own shape and
+// topology (weight nil = the default wiring weight).
+func refine(t *testing.T, pl *floorplan.Placement, suit *floorplan.Suitability, mask *geom.Mask,
+	seed int64, iterations *int, weight *float64) (*floorplan.Placement, error) {
+	t.Helper()
+	p := Problem{Suit: suit, Mask: mask, WiringWeight: weight,
+		Opts: floorplan.Options{Shape: pl.Shape, Topology: pl.Topology}}
+	obj, err := objective.New(suit, mask, p.objectiveParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Refine(obj, pl, seed, iterations)
+}
+
 func TestRefineValidation(t *testing.T) {
 	pl, suit, mask := planFixture(t)
-	if _, err := Refine(nil, suit, mask, Options{}); err == nil {
+	obj, err := objective.New(suit, mask, objective.Params{Shape: pl.Shape, Topology: pl.Topology})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Refine(obj, nil, 0, nil); err == nil {
 		t.Error("nil placement must error")
 	}
-	if _, err := Refine(pl, nil, mask, Options{}); err == nil {
-		t.Error("nil suitability must error")
+	if _, err := Refine(nil, pl, 0, nil); err == nil {
+		t.Error("nil objective must error")
 	}
 	empty := *pl
 	empty.Rects = nil
-	if _, err := Refine(&empty, suit, mask, Options{}); err == nil {
+	if _, err := refine(t, &empty, suit, mask, 0, nil, nil); err == nil {
 		t.Error("empty placement must error")
-	}
-	if _, err := Refine(pl, suit, mask, Options{StartTemp: 0.001, EndTemp: 1}); err == nil {
-		t.Error("inverted temperatures must error")
 	}
 }
 
 func TestRefineNeverWorsensObjective(t *testing.T) {
 	pl, suit, mask := planFixture(t)
-	opts := Options{Seed: 42, Iterations: Ptr(5000)}
-	refined, err := Refine(pl, suit, mask, opts)
+	refined, err := refine(t, pl, suit, mask, 42, Ptr(5000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +78,7 @@ func TestRefineNeverWorsensObjective(t *testing.T) {
 
 func TestRefineKeepsFeasibility(t *testing.T) {
 	pl, suit, mask := planFixture(t)
-	refined, err := Refine(pl, suit, mask, Options{Seed: 7, Iterations: Ptr(8000)})
+	refined, err := refine(t, pl, suit, mask, 7, Ptr(8000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +95,11 @@ func TestRefineKeepsFeasibility(t *testing.T) {
 
 func TestRefineDeterministicPerSeed(t *testing.T) {
 	pl, suit, mask := planFixture(t)
-	a, err := Refine(pl, suit, mask, Options{Seed: 5, Iterations: Ptr(3000)})
+	a, err := refine(t, pl, suit, mask, 5, Ptr(3000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Refine(pl, suit, mask, Options{Seed: 5, Iterations: Ptr(3000)})
+	b, err := refine(t, pl, suit, mask, 5, Ptr(3000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +113,7 @@ func TestRefineDeterministicPerSeed(t *testing.T) {
 func TestRefineDoesNotMutateInput(t *testing.T) {
 	pl, suit, mask := planFixture(t)
 	before := append([]geom.Rect(nil), pl.Rects...)
-	if _, err := Refine(pl, suit, mask, Options{Seed: 3, Iterations: Ptr(2000)}); err != nil {
+	if _, err := refine(t, pl, suit, mask, 3, Ptr(2000), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range before {
@@ -149,7 +140,7 @@ func TestRefineEscapesDeliberatelyBadStart(t *testing.T) {
 		r.Cells(func(c geom.Cell) bool { sum += suit.At(c); return true })
 		bad.SuitabilitySum += sum / 32
 	}
-	refined, err := Refine(bad, suit, mask, Options{Seed: 11, Iterations: Ptr(20000)})
+	refined, err := refine(t, bad, suit, mask, 11, Ptr(20000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,33 +149,42 @@ func TestRefineEscapesDeliberatelyBadStart(t *testing.T) {
 	}
 }
 
-func TestOptionsZeroValueDistinguishedFromUnset(t *testing.T) {
-	// Regression: the pre-pointer Options turned an explicit
-	// WiringWeight 0 into the 0.05 default and Iterations 0 into
-	// 20000, so neither could be disabled.
-	r := Options{}.resolve()
-	if r.iterations != 20000 {
-		t.Errorf("unset Iterations resolved to %d, want default 20000", r.iterations)
+func TestExplicitZeroDistinguishedFromUnset(t *testing.T) {
+	// Regression: plain-value knobs turned an explicit WiringWeight 0
+	// into the 0.05 default and Iterations 0 into 20000, so neither
+	// could be disabled.
+	p := problemFixture()
+	if w := p.objectiveParams().WiringWeight; w != 0.05 {
+		t.Errorf("unset WiringWeight resolved to %g, want default 0.05", w)
 	}
-	if r.wiringWeight != 0.05 {
-		t.Errorf("unset WiringWeight resolved to %g, want default 0.05", r.wiringWeight)
+	p.WiringWeight = Ptr(0.0)
+	if w := p.objectiveParams().WiringWeight; w != 0 {
+		t.Errorf("explicit WiringWeight 0 resolved to %g, want 0 (penalty disabled)", w)
 	}
-	r = Options{Iterations: Ptr(0), WiringWeight: Ptr(0.0)}.resolve()
-	if r.iterations != 0 {
-		t.Errorf("explicit Iterations 0 resolved to %d, want 0", r.iterations)
+	p.WiringWeight = Ptr(1.5)
+	if w := p.objectiveParams().WiringWeight; w != 1.5 {
+		t.Errorf("explicit WiringWeight 1.5 resolved to %g", w)
 	}
-	if r.wiringWeight != 0 {
-		t.Errorf("explicit WiringWeight 0 resolved to %g, want 0 (penalty disabled)", r.wiringWeight)
+
+	pl, suit, mask := planFixture(t)
+	unset, err := refine(t, pl, suit, mask, 4, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r = Options{Iterations: Ptr(777), WiringWeight: Ptr(1.5)}.resolve()
-	if r.iterations != 777 || r.wiringWeight != 1.5 {
-		t.Errorf("explicit values not honoured: %+v", r)
+	explicit, err := refine(t, pl, suit, mask, 4, Ptr(20000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range unset.Rects {
+		if unset.Rects[i] != explicit.Rects[i] {
+			t.Fatalf("unset Iterations differs from the 20000 default at module %d", i)
+		}
 	}
 }
 
 func TestZeroIterationsReturnsInputUnchanged(t *testing.T) {
 	pl, suit, mask := planFixture(t)
-	out, err := Refine(pl, suit, mask, Options{Seed: 9, Iterations: Ptr(0)})
+	out, err := refine(t, pl, suit, mask, 9, Ptr(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestZeroIterationsReturnsInputUnchanged(t *testing.T) {
 			t.Fatalf("module %d moved with zero iterations", i)
 		}
 	}
-	if _, err := Refine(pl, suit, mask, Options{Iterations: Ptr(-1)}); err == nil {
+	if _, err := refine(t, pl, suit, mask, 0, Ptr(-1), nil); err == nil {
 		t.Error("negative iterations must error")
 	}
 }
@@ -207,11 +207,11 @@ func TestExplicitZeroWiringWeightDisablesPenalty(t *testing.T) {
 	// suitability sum of the refined placement must therefore be at
 	// least as good as the penalised run's.
 	pl, suit, mask := planFixture(t)
-	free, err := Refine(pl, suit, mask, Options{Seed: 1, Iterations: Ptr(20000), WiringWeight: Ptr(0.0)})
+	free, err := refine(t, pl, suit, mask, 1, Ptr(20000), Ptr(0.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	taxed, err := Refine(pl, suit, mask, Options{Seed: 1, Iterations: Ptr(20000), WiringWeight: Ptr(5.0)})
+	taxed, err := refine(t, pl, suit, mask, 1, Ptr(20000), Ptr(5.0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-package opt
+package optimize
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -19,23 +20,24 @@ func gradientSuit(w, h int) *floorplan.Suitability {
 	return s
 }
 
-func fullMask(w, h int) *geom.Mask {
-	m := geom.NewMask(w, h)
-	m.Fill(true)
-	return m
+// exactProblem places n modules of shape on suit/mask as one string.
+func exactProblem(suit *floorplan.Suitability, mask *geom.Mask, shape floorplan.ModuleShape, n int) Problem {
+	return Problem{Suit: suit, Mask: mask, Opts: floorplan.Options{
+		Shape: shape, Topology: panel.Topology{SeriesPerString: n, Strings: 1},
+	}}
 }
 
 func TestOptimalValidation(t *testing.T) {
 	suit := gradientSuit(20, 10)
 	mask := fullMask(20, 10)
 	shape := floorplan.ModuleShape{W: 4, H: 2}
-	if _, err := Optimal(nil, mask, Options{Shape: shape, N: 1}); err == nil {
+	if _, err := (BranchBound{}).Place(exactProblem(nil, mask, shape, 1)); err == nil {
 		t.Error("nil suitability must error")
 	}
-	if _, err := Optimal(suit, mask, Options{Shape: floorplan.ModuleShape{}, N: 1}); err == nil {
+	if _, err := (BranchBound{}).Place(exactProblem(suit, mask, floorplan.ModuleShape{}, 1)); err == nil {
 		t.Error("invalid shape must error")
 	}
-	if _, err := Optimal(suit, mask, Options{Shape: shape, N: 0}); err == nil {
+	if _, err := (BranchBound{}).Place(exactProblem(suit, mask, shape, 0)); err == nil {
 		t.Error("zero modules must error")
 	}
 }
@@ -45,15 +47,15 @@ func TestOptimalSingleModule(t *testing.T) {
 	// candidate — the footprint hugging the top-right corner.
 	suit := gradientSuit(20, 10)
 	mask := fullMask(20, 10)
-	res, err := Optimal(suit, mask, Options{Shape: floorplan.ModuleShape{W: 4, H: 2}, N: 1})
+	pl, err := BranchBound{}.Place(exactProblem(suit, mask, floorplan.ModuleShape{W: 4, H: 2}, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Anchors) != 1 {
-		t.Fatalf("anchors = %v", res.Anchors)
+	if len(pl.Rects) != 1 {
+		t.Fatalf("rects = %v", pl.Rects)
 	}
-	if res.Anchors[0] != (geom.Cell{X: 16, Y: 8}) {
-		t.Errorf("optimal anchor = %v, want (16,8)", res.Anchors[0])
+	if a := pl.Rects[0].Anchor(); a != (geom.Cell{X: 16, Y: 8}) {
+		t.Errorf("optimal anchor = %v, want (16,8)", a)
 	}
 }
 
@@ -72,7 +74,7 @@ func TestOptimalMatchesBruteForceTiny(t *testing.T) {
 	mask := fullMask(w, h)
 	shape := floorplan.ModuleShape{W: 3, H: 2}
 
-	res, err := Optimal(suit, mask, Options{Shape: shape, N: 2})
+	pl, err := BranchBound{}.Place(exactProblem(suit, mask, shape, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +106,8 @@ func TestOptimalMatchesBruteForceTiny(t *testing.T) {
 			}
 		}
 	}
-	if math.Abs(res.Score-best) > 1e-9 {
-		t.Errorf("B&B score %.4f != brute force %.4f", res.Score, best)
+	if math.Abs(pl.SuitabilitySum-best) > 1e-9 {
+		t.Errorf("B&B score %.4f != brute force %.4f", pl.SuitabilitySum, best)
 	}
 }
 
@@ -119,21 +121,20 @@ func TestOptimalNeverBelowGreedy(t *testing.T) {
 	mask.SetRect(geom.Rect{X0: 22, Y0: 0, X1: 26, Y1: 10}, false)
 	mask.SetRect(geom.Rect{X0: 10, Y0: 6, X1: 16, Y1: 9}, false)
 
-	shape := floorplan.ModuleShape{W: 4, H: 2}
-	topo := panel.Topology{SeriesPerString: 3, Strings: 1}
-	greedy, err := floorplan.Plan(suit, mask, floorplan.Options{Shape: shape, Topology: topo})
+	p := exactProblem(suit, mask, floorplan.ModuleShape{W: 4, H: 2}, 3)
+	greedy, err := Greedy{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Optimal(suit, mask, Options{Shape: shape, N: 3})
+	exact, err := BranchBound{}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Score < greedy.SuitabilitySum-1e-9 {
-		t.Errorf("exact %.4f below greedy %.4f — B&B is broken", exact.Score, greedy.SuitabilitySum)
+	if exact.SuitabilitySum < greedy.SuitabilitySum-1e-9 {
+		t.Errorf("exact %.4f below greedy %.4f — B&B is broken", exact.SuitabilitySum, greedy.SuitabilitySum)
 	}
-	gap := (exact.Score - greedy.SuitabilitySum) / exact.Score
-	t.Logf("greedy optimality gap: %.2f%% (nodes=%d)", gap*100, exact.Nodes)
+	gap := (exact.SuitabilitySum - greedy.SuitabilitySum) / exact.SuitabilitySum
+	t.Logf("greedy optimality gap: %.2f%%", gap*100)
 	if gap > 0.25 {
 		t.Errorf("greedy gap %.1f%% implausibly large", gap*100)
 	}
@@ -142,8 +143,7 @@ func TestOptimalNeverBelowGreedy(t *testing.T) {
 func TestOptimalNoSpace(t *testing.T) {
 	suit := gradientSuit(6, 3)
 	mask := fullMask(6, 3)
-	_, err := Optimal(suit, mask, Options{Shape: floorplan.ModuleShape{W: 4, H: 2}, N: 5})
-	if err == nil {
+	if _, err := (BranchBound{}).Place(exactProblem(suit, mask, floorplan.ModuleShape{W: 4, H: 2}, 5)); err == nil {
 		t.Error("expected no-space error")
 	}
 }
@@ -151,10 +151,8 @@ func TestOptimalNoSpace(t *testing.T) {
 func TestOptimalBudgetExhaustion(t *testing.T) {
 	suit := gradientSuit(40, 20)
 	mask := fullMask(40, 20)
-	_, err := Optimal(suit, mask, Options{
-		Shape: floorplan.ModuleShape{W: 4, H: 2}, N: 6, MaxNodes: 10,
-	})
-	if err != ErrBudgetExhausted {
+	_, err := BranchBound{MaxNodes: 10}.Place(exactProblem(suit, mask, floorplan.ModuleShape{W: 4, H: 2}, 6))
+	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("err = %v, want ErrBudgetExhausted", err)
 	}
 }
@@ -163,14 +161,11 @@ func TestOptimalAvoidsMaskedCells(t *testing.T) {
 	suit := gradientSuit(16, 6)
 	mask := fullMask(16, 6)
 	mask.SetRect(geom.Rect{X0: 12, Y0: 0, X1: 16, Y1: 6}, false) // best region blocked
-	res, err := Optimal(suit, mask, Options{Shape: floorplan.ModuleShape{W: 4, H: 2}, N: 2})
+	pl, err := BranchBound{}.Place(exactProblem(suit, mask, floorplan.ModuleShape{W: 4, H: 2}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range res.Anchors {
-		r := geom.RectAt(a, 4, 2)
-		if !mask.AllSet(r) {
-			t.Errorf("optimal placement at %v violates mask", a)
-		}
+	if !pl.WithinMask(mask) {
+		t.Errorf("optimal placement %v violates mask", pl.Rects)
 	}
 }

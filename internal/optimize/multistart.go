@@ -5,10 +5,12 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
 	"repro/internal/objective"
 )
+
+// MaxRestarts is the largest multistart restart count accepted.
+const MaxRestarts = 1 << 16
 
 // MultiStart is the parallel multi-start annealer: K independent
 // annealing restarts from the greedy seed, each with a
@@ -28,7 +30,7 @@ type MultiStart struct {
 	// default).
 	Iterations *int
 	// Restarts is K, the number of independent annealing runs
-	// (default 8).
+	// (default 8, at most MaxRestarts).
 	Restarts int
 	// Workers bounds the restart pool: 0 = one worker per CPU, 1 =
 	// the serial reference path. Results are identical for every
@@ -69,7 +71,7 @@ func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
 	if restarts <= 0 {
 		restarts = 8
 	}
-	if restarts > 1<<16 {
+	if restarts > MaxRestarts {
 		return nil, fmt.Errorf("optimize: unreasonable restart count %d", restarts)
 	}
 	seedPl, err := floorplan.Plan(p.Suit, p.Mask, p.Opts)
@@ -89,7 +91,7 @@ func (m MultiStart) Place(p Problem) (*floorplan.Placement, error) {
 	results := make([]outcome, restarts)
 	run := func(i int) {
 		o := obj.Fork()
-		pl, err := anneal.RefineWith(o, seedPl, p.annealOptions(restartSeed(m.Seed, i), m.Iterations))
+		pl, err := Refine(o, seedPl, restartSeed(m.Seed, i), m.Iterations)
 		if err != nil {
 			results[i] = outcome{err: err}
 			return

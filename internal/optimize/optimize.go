@@ -13,17 +13,19 @@
 // base seed by index, and best-of selection scans restarts in index
 // order — the same contract as the solar-field engine in
 // internal/solar/field).
+//
+// Each strategy beyond the greedy lives in its own file (anneal.go,
+// branchbound.go, multistart.go); the strategies table maps names to
+// them.
 package optimize
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/objective"
-	"repro/internal/opt"
 	"repro/internal/wiring"
 )
 
@@ -62,17 +64,6 @@ func (p Problem) objectiveParams() objective.Params {
 	}
 }
 
-// annealOptions translates the problem's wiring terms into anneal
-// options rooted at the given seed and iteration budget.
-func (p Problem) annealOptions(seed int64, iterations *int) anneal.Options {
-	return anneal.Options{
-		Seed:         seed,
-		Iterations:   iterations,
-		WiringWeight: p.WiringWeight,
-		Spec:         p.Spec,
-	}
-}
-
 // Placer is one placement strategy over the shared objective.
 type Placer interface {
 	// Name identifies the strategy in labels, batch names and logs.
@@ -94,86 +85,58 @@ func (Greedy) Place(p Problem) (*floorplan.Placement, error) {
 	return floorplan.Plan(p.Suit, p.Mask, p.Opts)
 }
 
-// Annealed runs the greedy placer and refines its placement by
-// simulated annealing against the shared objective.
-type Annealed struct {
-	// Seed fixes the random walk.
-	Seed int64
-	// Iterations is the move budget (nil = the annealer's default).
-	Iterations *int
+// strategies is the one strategy-name table: each entry's accepted
+// names (canonical first) and the Placer it builds from ByStrategy's
+// knobs. ByStrategy and the facade's strategy parser both read it.
+var strategies = []struct {
+	names []string
+	build func(seed int64, iterations *int, restarts, workers, maxNodes int) Placer
+}{
+	{[]string{"greedy", ""}, func(int64, *int, int, int, int) Placer { return Greedy{} }},
+	{[]string{"anneal"}, func(seed int64, iterations *int, _, _, _ int) Placer {
+		return Annealed{Seed: seed, Iterations: iterations}
+	}},
+	{[]string{"multistart"}, func(seed int64, iterations *int, restarts, workers, _ int) Placer {
+		return MultiStart{Seed: seed, Iterations: iterations, Restarts: restarts, Workers: workers}
+	}},
+	{[]string{"bnb", "branchbound"}, func(_ int64, _ *int, _, _, maxNodes int) Placer {
+		return BranchBound{MaxNodes: maxNodes}
+	}},
 }
 
-// Name implements Placer.
-func (Annealed) Name() string { return "anneal" }
+// strategyIndex finds a strategy name in the table.
+func strategyIndex(name string) (int, error) {
+	for i, s := range strategies {
+		for _, n := range s.names {
+			if n == name {
+				return i, nil
+			}
+		}
+	}
+	return -1, fmt.Errorf("optimize: unknown optimizer strategy %q (want greedy, anneal, multistart or bnb)", name)
+}
 
-// Place implements Placer.
-func (a Annealed) Place(p Problem) (*floorplan.Placement, error) {
-	seed, err := floorplan.Plan(p.Suit, p.Mask, p.Opts)
+// StrategyName maps a user-facing strategy name ("greedy" or "",
+// "anneal", "multistart", "bnb" or "branchbound") to its canonical
+// form.
+func StrategyName(name string) (string, error) {
+	i, err := strategyIndex(name)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	obj, err := objective.New(p.Suit, p.Mask, p.objectiveParams())
-	if err != nil {
-		return nil, err
-	}
-	return anneal.RefineWith(obj, seed, p.annealOptions(a.Seed, a.Iterations))
+	return strategies[i].names[0], nil
 }
 
-// BranchBound is the exact reference placer: branch and bound over
-// the shared score table, maximising the pure suitability sum
-// (wiring-blind, like the greedy objective it bounds — ablation A3).
-// Exponential beyond reduced instances; Place fails with
-// opt.ErrBudgetExhausted rather than returning an unproven answer.
-type BranchBound struct {
-	// MaxNodes caps the search (0 = opt's default).
-	MaxNodes int
-}
-
-// Name implements Placer.
-func (BranchBound) Name() string { return "bnb" }
-
-// Place implements Placer.
-func (b BranchBound) Place(p Problem) (*floorplan.Placement, error) {
-	res, err := opt.Optimal(p.Suit, p.Mask, opt.Options{
-		Shape:    p.Opts.Shape,
-		N:        p.Opts.Topology.Modules(),
-		MaxNodes: b.MaxNodes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// res.Anchors come back sorted row-major, which serialises the
-	// order-free optimum into series strings with consecutive modules
-	// spatially adjacent — as wiring-coherent as an exact search that
-	// ignores wiring gets.
-	pl := &floorplan.Placement{
-		Topology:       p.Opts.Topology,
-		Shape:          p.Opts.Shape,
-		SuitabilitySum: res.Score,
-	}
-	for _, a := range res.Anchors {
-		pl.Rects = append(pl.Rects, p.Opts.Shape.Rect(a))
-	}
-	return pl, nil
-}
-
-// ByStrategy returns the Placer for a strategy name: "greedy" (or
-// ""), "anneal", "multistart", "bnb". Seed, iterations, restarts and
-// workers parameterise the stochastic strategies and are ignored by
-// the deterministic ones; maxNodes bounds bnb.
+// ByStrategy returns the Placer for a strategy name (see
+// StrategyName). Seed, iterations, restarts and workers parameterise
+// the stochastic strategies and are ignored by the deterministic
+// ones; maxNodes bounds bnb.
 func ByStrategy(strategy string, seed int64, iterations *int, restarts, workers, maxNodes int) (Placer, error) {
-	switch strategy {
-	case "", "greedy":
-		return Greedy{}, nil
-	case "anneal":
-		return Annealed{Seed: seed, Iterations: iterations}, nil
-	case "multistart":
-		return MultiStart{Seed: seed, Iterations: iterations, Restarts: restarts, Workers: workers}, nil
-	case "bnb", "branchbound":
-		return BranchBound{MaxNodes: maxNodes}, nil
-	default:
-		return nil, fmt.Errorf("optimize: unknown strategy %q (want greedy, anneal, multistart or bnb)", strategy)
+	i, err := strategyIndex(strategy)
+	if err != nil {
+		return nil, err
 	}
+	return strategies[i].build(seed, iterations, restarts, workers, maxNodes), nil
 }
 
 // Value evaluates a placement under the problem's objective — the

@@ -2,9 +2,9 @@ package optimize
 
 import (
 	"math"
+	"strings"
 	"testing"
 
-	"repro/internal/anneal"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/panel"
@@ -70,7 +70,7 @@ func TestAnnealedNeverWorseThanGreedyUnderObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Annealed{Seed: 3, Iterations: anneal.Ptr(8000)}.Place(p)
+	refined, err := Annealed{Seed: 3, Iterations: Ptr(8000)}.Place(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestAnnealedNeverWorseThanGreedyUnderObjective(t *testing.T) {
 
 func TestMultiStartNeverWorseThanSingleAnneal(t *testing.T) {
 	p := problemFixture()
-	iters := anneal.Ptr(4000)
+	iters := Ptr(4000)
 	single, err := Annealed{Seed: 1, Iterations: iters}.Place(p)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestMultiStartNeverWorseThanSingleAnneal(t *testing.T) {
 
 func TestMultiStartDeterministicAcrossWorkerCounts(t *testing.T) {
 	p := problemFixture()
-	iters := anneal.Ptr(3000)
+	iters := Ptr(3000)
 	var ref *floorplan.Placement
 	var refVal float64
 	for _, workers := range []int{1, 2, 8} {
@@ -205,9 +205,16 @@ func TestByStrategy(t *testing.T) {
 		if got := pl.Name(); got != tc.want {
 			t.Errorf("ByStrategy(%q).Name() = %q, want %q", tc.in, got, tc.want)
 		}
+		if got, err := StrategyName(tc.in); err != nil || got != tc.want {
+			t.Errorf("StrategyName(%q) = %q, %v; want %q", tc.in, got, err, tc.want)
+		}
 	}
-	if _, err := ByStrategy("quantum", 0, nil, 0, 0, 0); err == nil {
-		t.Error("unknown strategy must error")
+	_, errBy := ByStrategy("quantum", 0, nil, 0, 0, 0)
+	_, errName := StrategyName("quantum")
+	for _, err := range []error{errBy, errName} {
+		if err == nil || !strings.Contains(err.Error(), "unknown optimizer strategy") {
+			t.Errorf("unknown strategy error = %v", err)
+		}
 	}
 	if got := (MultiStart{Restarts: 5}).Name(); got != "multistart(5)" {
 		t.Errorf("MultiStart name = %q", got)

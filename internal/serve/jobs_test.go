@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -168,17 +167,32 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 // negative) answers 400 invalid_request before admission, and no job
 // directory or manifest is written.
 func TestJobSubmitRejectsInvalidMaxModules(t *testing.T) {
+	assertJobSubmitsRejected(t,
+		`{"city":{"demo":true,"max_modules":4}}`,
+		`{"city":{"demo":true,"max_modules":-3}}`)
+}
+
+func TestJobSubmitRejectsInvalidOptimizer(t *testing.T) {
+	assertJobSubmitsRejected(t,
+		`{"city":{"demo":true,"optimizer":{"strategy":"anneal","iterations":-5}}}`,
+		`{"city":{"demo":true,"optimizer":{"wiring_weight":-3}}}`,
+		`{"city":{"demo":true,"optimizer":{"strategy":"multistart","restarts":100000}}}`)
+}
+
+// assertJobSubmitsRejected posts each body to /v1/jobs and expects a
+// 400 invalid_request with nothing written to the job store.
+func assertJobSubmitsRejected(t *testing.T, bodies ...string) {
+	t.Helper()
 	dir := t.TempDir()
 	store, err := jobs.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Options{Jobs: store})
-	for _, maxModules := range []int{4, -3} {
-		body := fmt.Sprintf(`{"city":{"demo":true,"max_modules":%d}}`, maxModules)
+	for _, body := range bodies {
 		w := postJSON(t, s, "/v1/jobs", body)
 		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "invalid_request") {
-			t.Errorf("max_modules %d: submit = %d, want 400 invalid_request (%s)", maxModules, w.Code, w.Body)
+			t.Errorf("%s: submit = %d, want 400 invalid_request (%s)", body, w.Code, w.Body)
 		}
 	}
 	if ms := store.List(); len(ms) != 0 {

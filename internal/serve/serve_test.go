@@ -74,8 +74,9 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestRequestValidation walks every rejection path: malformed bodies,
-// unknown fields, bad scenario/fidelity/strategy names, module counts
-// off the 8-string grid, and contradictory tile selections. All must
+// unknown fields, bad scenario/fidelity/strategy names, out-of-range
+// optimizer knobs, module counts off the 8-string grid, and
+// contradictory tile selections. All must
 // answer 400 with a JSON error body before any pipeline work starts.
 func TestRequestValidation(t *testing.T) {
 	s := newTestServer(t, Options{})
@@ -89,6 +90,11 @@ func TestRequestValidation(t *testing.T) {
 		{"ragged modules", "/v1/run", `{"scenario":"roof1","modules":12}`, "multiple of 8"},
 		{"bad fidelity", "/v1/run", `{"scenario":"roof1","modules":8,"fidelity":"warp"}`, "unknown fidelity"},
 		{"bad strategy", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"magic"}}`, "unknown optimizer strategy"},
+		{"negative iterations", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"anneal","iterations":-5}}`, "negative optimizer Iterations"},
+		{"negative wiring weight", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"anneal","wiring_weight":-3}}`, "WiringWeight -3"},
+		{"oversized restarts", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","restarts":100000}}`, "Restarts 100000"},
+		{"negative search workers", "/v1/run", `{"scenario":"roof1","modules":8,"optimizer":{"strategy":"multistart","search_workers":-4}}`, "SearchWorkers -4"},
+		{"batch negative iterations", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8,"optimizer":{"iterations":-5}}]}`, "negative optimizer Iterations"},
 		{"empty batch", "/v1/batch", `{"runs":[]}`, "empty batch"},
 		{"batch bad entry", "/v1/batch", `{"runs":[{"scenario":"roof1","modules":8},{"scenario":"nope","modules":8}]}`, "runs[1]"},
 		{"district no tile", "/v1/district", `{}`, "exactly one of tile_asc, tile_ref or demo"},
@@ -98,6 +104,10 @@ func TestRequestValidation(t *testing.T) {
 		{"district ragged modules", "/v1/district", `{"demo":true,"modules":3}`, "multiple of 8"},
 		{"district max_modules below a string", "/v1/district", `{"demo":true,"max_modules":4}`, "MaxModules 4"},
 		{"city max_modules below a string", "/v1/city", `{"demo":true,"max_modules":4}`, "MaxModules 4"},
+		{"district negative iterations", "/v1/district", `{"demo":true,"optimizer":{"strategy":"anneal","iterations":-5}}`, "negative optimizer Iterations"},
+		{"district negative wiring weight", "/v1/district", `{"demo":true,"optimizer":{"wiring_weight":-3}}`, "WiringWeight -3"},
+		{"district oversized restarts", "/v1/district", `{"demo":true,"optimizer":{"strategy":"multistart","restarts":100000}}`, "Restarts 100000"},
+		{"city negative iterations", "/v1/city", `{"demo":true,"optimizer":{"strategy":"anneal","iterations":-5}}`, "negative optimizer Iterations"},
 		{"district bad rank-by", "/v1/district", `{"demo":true,"econ":{"rank_by":"alphabetical"}}`, "unknown rank-by"},
 		{"district negative budget", "/v1/district", `{"demo":true,"econ":{"budget_usd":-1}}`, "negative budget"},
 		{"district bad panel class", "/v1/district", `{"demo":true,"econ":{"catalog":[{"name":"x","watts_stc":0}]}}`, "nameplate"},

@@ -254,6 +254,9 @@ func (s *Server) runConfig(req RunRequest) (pvfloor.Config, error) {
 	if err != nil {
 		return pvfloor.Config{}, err
 	}
+	if err := opt.Validate(); err != nil {
+		return pvfloor.Config{}, err
+	}
 	return pvfloor.Config{
 		Scenario:     sc,
 		Label:        req.Label,

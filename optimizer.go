@@ -2,8 +2,8 @@ package pvfloor
 
 import (
 	"fmt"
+	"math"
 
-	"repro/internal/anneal"
 	"repro/internal/optimize"
 )
 
@@ -33,18 +33,8 @@ const (
 // "multistart", "bnb"/"branchbound", or "" for the default) to a
 // Strategy.
 func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "", "greedy":
-		return StrategyGreedy, nil
-	case "anneal":
-		return StrategyAnneal, nil
-	case "multistart":
-		return StrategyMultiStart, nil
-	case "bnb", "branchbound":
-		return StrategyBranchBound, nil
-	default:
-		return "", fmt.Errorf("pvfloor: unknown optimizer strategy %q (want greedy, anneal, multistart or bnb)", s)
-	}
+	name, err := optimize.StrategyName(s)
+	return Strategy(name), err
 }
 
 // OptimizerConfig selects and tunes the placement strategy of a run.
@@ -71,8 +61,29 @@ type OptimizerConfig struct {
 	// NoWiringPenalty drops the wiring term from the refinement
 	// objective entirely.
 	NoWiringPenalty bool
-	// MaxNodes caps the bnb search (0 = the opt package default).
-	MaxNodes int
+}
+
+// Validate reports whether the config can run, without running it:
+// a known strategy, non-negative Iterations, Restarts and
+// SearchWorkers, at most optimize.MaxRestarts restarts, and a finite,
+// non-negative WiringWeight. Run, RunDistrict and RunCity call it
+// before any work; request surfaces (pvserve) call it to reject a bad
+// request before admitting it.
+func (oc OptimizerConfig) Validate() error {
+	if _, err := ParseStrategy(string(oc.Strategy)); err != nil {
+		return err
+	}
+	switch {
+	case oc.Iterations < 0:
+		return fmt.Errorf("pvfloor: negative optimizer Iterations %d", oc.Iterations)
+	case oc.Restarts < 0 || oc.Restarts > optimize.MaxRestarts:
+		return fmt.Errorf("pvfloor: optimizer Restarts %d outside [0, %d]", oc.Restarts, optimize.MaxRestarts)
+	case oc.SearchWorkers < 0:
+		return fmt.Errorf("pvfloor: negative optimizer SearchWorkers %d", oc.SearchWorkers)
+	case oc.WiringWeight < 0 || math.IsNaN(oc.WiringWeight) || math.IsInf(oc.WiringWeight, 0):
+		return fmt.Errorf("pvfloor: optimizer WiringWeight %g must be finite and non-negative", oc.WiringWeight)
+	}
+	return nil
 }
 
 // label returns the strategy tag batch names carry ("" for the
@@ -84,23 +95,27 @@ func (oc OptimizerConfig) label() string {
 	return string(oc.Strategy)
 }
 
-// placer resolves the config into an internal/optimize Placer.
+// placer validates and resolves the config into an internal/optimize
+// Placer.
 func (oc OptimizerConfig) placer() (optimize.Placer, error) {
+	if err := oc.Validate(); err != nil {
+		return nil, err
+	}
 	var iterations *int
 	if oc.Iterations != 0 {
-		iterations = anneal.Ptr(oc.Iterations)
+		iterations = optimize.Ptr(oc.Iterations)
 	}
 	return optimize.ByStrategy(string(oc.Strategy), oc.Seed, iterations,
-		oc.Restarts, oc.SearchWorkers, oc.MaxNodes)
+		oc.Restarts, oc.SearchWorkers, 0)
 }
 
 // wiringWeight resolves the objective weight override (nil = default).
 func (oc OptimizerConfig) wiringWeight() *float64 {
 	if oc.NoWiringPenalty {
-		return anneal.Ptr(0.0)
+		return optimize.Ptr(0.0)
 	}
 	if oc.WiringWeight != 0 {
-		return anneal.Ptr(oc.WiringWeight)
+		return optimize.Ptr(oc.WiringWeight)
 	}
 	return nil
 }

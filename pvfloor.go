@@ -248,6 +248,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("pvfloor: nil scenario")
 	}
+	if err := cfg.Optimizer.Validate(); err != nil {
+		return nil, err
+	}
 	ev, err := cfg.Scenario.FieldWith(scenario.FieldConfig{
 		Grid:    cfg.effectiveGrid(),
 		Fast:    cfg.Fidelity != Full,
@@ -266,6 +269,10 @@ func Run(cfg Config) (*Result, error) {
 func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 	if cfg.Scenario == nil || ev == nil {
 		return nil, fmt.Errorf("pvfloor: nil scenario or field")
+	}
+	placer, err := cfg.Optimizer.placer()
+	if err != nil {
+		return nil, err
 	}
 	// The statistics depend only on the field, so runs sharing one
 	// evaluator (a module-count sweep, a batch group) share the
@@ -304,10 +311,6 @@ func RunWithField(cfg Config, ev *field.Evaluator) (*Result, error) {
 		Evaluator:   ev,
 		Stats:       cs,
 		Suitability: suit,
-	}
-	placer, err := cfg.Optimizer.placer()
-	if err != nil {
-		return nil, err
 	}
 	res.Proposed, err = placer.Place(optimize.Problem{
 		Suit:         suit,

@@ -1,11 +1,15 @@
 package pvfloor
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/optimize"
 	"repro/internal/scenario"
+	"repro/internal/solar/field"
+	"repro/internal/solar/horizon"
 )
 
 // Shared residential run (cheapest scenario) for facade tests.
@@ -44,6 +48,49 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := RunWithField(Config{Scenario: sc}, nil); err == nil {
 		t.Error("nil field must error")
+	}
+}
+
+// TestRunRejectsInvalidOptimizer pins that a bad optimizer config
+// fails before any work: no horizon march, no statistics pass.
+func TestRunRejectsInvalidOptimizer(t *testing.T) {
+	sc, err := Residential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oc := range []OptimizerConfig{
+		{Strategy: "tabu"},
+		{Strategy: StrategyAnneal, Iterations: -5},
+		{Strategy: StrategyMultiStart, Restarts: optimize.MaxRestarts + 1},
+		{Strategy: StrategyMultiStart, Restarts: -1},
+		{Strategy: StrategyMultiStart, SearchWorkers: -4},
+		{Strategy: StrategyAnneal, WiringWeight: -3},
+		{Strategy: StrategyAnneal, WiringWeight: math.NaN()},
+		{Strategy: StrategyAnneal, WiringWeight: math.Inf(1)},
+	} {
+		hb, sp := horizon.BuildCount(), field.StatsPassCount()
+		if _, err := Run(Config{Scenario: sc, Modules: 8, Optimizer: oc}); err == nil {
+			t.Errorf("%+v: Run must error", oc)
+		}
+		if err := oc.Validate(); err == nil {
+			t.Errorf("%+v: Validate must error", oc)
+		}
+		if err := (FleetOptions{Optimizer: oc}).Validate(); err == nil {
+			t.Errorf("%+v: FleetOptions.Validate must error", oc)
+		}
+		if horizon.BuildCount() != hb || field.StatsPassCount() != sp {
+			t.Errorf("%+v: Run did work before rejecting the config", oc)
+		}
+	}
+	for _, oc := range []OptimizerConfig{
+		{},
+		{Strategy: "branchbound"},
+		{Strategy: StrategyMultiStart, Restarts: optimize.MaxRestarts, SearchWorkers: 1},
+		{Strategy: StrategyAnneal, Iterations: 10, WiringWeight: 0.5, NoWiringPenalty: true},
+	} {
+		if err := oc.Validate(); err != nil {
+			t.Errorf("%+v: %v", oc, err)
+		}
 	}
 }
 
