@@ -46,6 +46,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,9 +57,7 @@ import (
 
 	pvfloor "repro"
 	"repro/internal/district"
-	"repro/internal/dsm"
 	"repro/internal/fieldcache"
-	"repro/internal/geom"
 	"repro/internal/gis"
 )
 
@@ -88,7 +87,7 @@ func main() {
 	city := flag.Bool("city", false, "out-of-core tiled sweep: window the DSM instead of loading it whole")
 	tileSize := flag.Int("tile-size", 0, "city: core work-tile edge in cells (0 = default 512)")
 	halo := flag.Int("halo", 0, "city: overlap margin in cells (0 = derive from the horizon's shadow reach, negative = none)")
-	memBudget := flag.Int("mem-budget", 0, "city: windowed-reader block cache budget in MiB (0 = default 64)")
+	memBudget := flag.Int("mem-budget", 0, "windowed-reader block cache budget in MiB (0 = default 64)")
 	tileWorkers := flag.Int("tile-workers", 0, "city: concurrent work tiles (0 = sequential, the bounded-memory default)")
 	checkpoint := flag.String("checkpoint", "", "city: checkpoint directory — finished tiles are committed there and a re-run resumes from them")
 	tileRetries := flag.Int("tile-retries", 0, "city: extra attempts per failed tile before it is recorded as failed")
@@ -141,12 +140,17 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	src, wr, err := openSource(*tilePath, *demo, *memBudget)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *city {
 		runCity(cityFlags{
-			tilePath: *tilePath, demo: *demo, asJSON: *asJSON,
-			tileSize: *tileSize, halo: *halo, memBudgetMiB: *memBudget, tileWorkers: *tileWorkers,
+			wr: wr, asJSON: *asJSON,
+			tileSize: *tileSize, halo: *halo, tileWorkers: *tileWorkers,
 			checkpoint: *checkpoint,
 			cfg: pvfloor.CityConfig{
+				Source:       src,
 				FleetOptions: opts,
 				Cache:        cache,
 				TileRetries:  *tileRetries,
@@ -157,9 +161,12 @@ func main() {
 		return
 	}
 
-	tile, nodata, err := loadTile(*tilePath, *demo)
+	tile, nodata, err := src.Window(src.Bounds())
+	if wr != nil {
+		wr.Close()
+	}
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("reading %s: %v", *tilePath, err)
 	}
 	cfg := pvfloor.DistrictConfig{Tile: tile, NoData: nodata, FleetOptions: opts, Cache: cache}
 
@@ -184,41 +191,44 @@ func main() {
 	}
 }
 
+// openSource resolves -tile/-demo into the DSM source both modes run
+// over: the built-in synthetic neighborhood, or the file (plain or
+// gzipped .asc) indexed through the windowed reader with a block
+// cache of memBudgetMiB. wr is that reader — nil for -demo — which
+// the caller closes and whose cache counters the city report prints.
+func openSource(path string, demo bool, memBudgetMiB int) (src pvfloor.CitySource, wr *gis.WindowedReader, err error) {
+	switch {
+	case demo && path != "":
+		return nil, nil, errors.New("-tile and -demo are mutually exclusive")
+	case demo:
+		return &gis.RasterSource{Raster: district.SyntheticNeighborhood()}, nil, nil
+	case path == "":
+		return nil, nil, errors.New("either -tile or -demo is required")
+	}
+	wr, err = gis.OpenWindowed(path, gis.WindowOptions{CacheBytes: int64(memBudgetMiB) << 20})
+	if err != nil {
+		return nil, nil, fmt.Errorf("indexing %s: %w", path, err)
+	}
+	return wr, wr, nil
+}
+
 // cityFlags bundles the out-of-core run's command-line surface.
 type cityFlags struct {
-	tilePath     string
-	demo         bool
-	asJSON       bool
-	tileSize     int
-	halo         int
-	memBudgetMiB int
-	tileWorkers  int
-	checkpoint   string
-	cfg          pvfloor.CityConfig
+	wr          *gis.WindowedReader // nil for -demo
+	asJSON      bool
+	tileSize    int
+	halo        int
+	tileWorkers int
+	checkpoint  string
+	cfg         pvfloor.CityConfig
 }
 
 // runCity executes the out-of-core tiled sweep: the DSM file is
 // indexed (never loaded whole) and served window by window through a
 // bounded block cache.
 func runCity(cf cityFlags) {
-	var stats func() gis.CacheStats
-	switch {
-	case cf.demo && cf.tilePath != "":
-		log.Fatal("-tile and -demo are mutually exclusive")
-	case cf.demo:
-		cf.cfg.Source = &gis.RasterSource{Raster: district.SyntheticNeighborhood()}
-	case cf.tilePath == "":
-		log.Fatal("either -tile or -demo is required")
-	default:
-		wr, err := gis.OpenWindowed(cf.tilePath, gis.WindowOptions{
-			CacheBytes: int64(cf.memBudgetMiB) << 20,
-		})
-		if err != nil {
-			log.Fatalf("indexing %s: %v", cf.tilePath, err)
-		}
-		defer wr.Close()
-		cf.cfg.Source = wr
-		stats = wr.Stats
+	if cf.wr != nil {
+		defer cf.wr.Close()
 	}
 	cf.cfg.TileCells = cf.tileSize
 	cf.cfg.HaloCells = cf.halo
@@ -246,8 +256,8 @@ func runCity(cf cityFlags) {
 		}
 	} else {
 		fmt.Print(pvfloor.CityTable(res))
-		if stats != nil {
-			s := stats()
+		if cf.wr != nil {
+			s := cf.wr.Stats()
 			fmt.Printf("raster cache: %d hits, %d misses, %d evictions\n", s.Hits, s.Misses, s.Evictions)
 		}
 		fmt.Printf("%d roofs in %v\n", len(res.Plans), elapsed.Round(time.Millisecond))
@@ -316,27 +326,6 @@ func parsePanelCatalog(spec string) ([]pvfloor.PanelClass, error) {
 		return nil, fmt.Errorf("panel catalog %q is empty", spec)
 	}
 	return catalog, nil
-}
-
-func loadTile(path string, demo bool) (*dsm.Raster, *geom.Mask, error) {
-	switch {
-	case demo && path != "":
-		return nil, nil, fmt.Errorf("-tile and -demo are mutually exclusive")
-	case demo:
-		return district.SyntheticNeighborhood(), nil, nil
-	case path == "":
-		return nil, nil, fmt.Errorf("either -tile or -demo is required")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	tile, nodata, err := gis.LoadRaster(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	return tile, nodata, nil
 }
 
 func emitText(res *pvfloor.DistrictResult, elapsed time.Duration) {

@@ -2,7 +2,8 @@
 // ASCII grid DSMs (plus the suitable-area mask as CSV), so they can
 // be inspected in QGIS/GRASS alongside real LiDAR data — or serve as
 // fixtures for pipelines that expect .asc input. The reverse path
-// (loading a real .asc DSM) goes through internal/gis.ReadAsc.
+// (loading a real .asc DSM) goes through internal/gis.LoadRaster or,
+// for grids too large to hold, internal/gis.OpenWindowed.
 //
 //	roofgen -out scenes/            # all scenarios
 //	roofgen -roof 1 -out scenes/    # a single roof

@@ -36,16 +36,12 @@ func loadTileFixture(t *testing.T, path string) *dsm.Raster {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	g, err := gis.ReadAsc(f)
+	tile, nodata, err := gis.LoadRaster(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tile, missing, err := g.ToRaster(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing != 0 {
-		t.Fatalf("fixture %s has %d NODATA cells, want 0", path, missing)
+	if nodata != nil {
+		t.Fatalf("fixture %s has %d NODATA cells, want 0", path, nodata.Count())
 	}
 	return tile
 }

@@ -8,6 +8,7 @@ package gis
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
@@ -19,9 +20,10 @@ import (
 	"repro/internal/geom"
 )
 
-// AscGrid is the parsed header+data of an ESRI ASCII grid. Rows are
-// stored north-to-south (the file order), matching the dsm.Raster
-// convention of y growing southward.
+// AscGrid is an ESRI ASCII grid's header plus, on the export path
+// (FromRaster, WriteAsc), its data; WindowedReader.Header returns the
+// header alone. Rows are stored north-to-south (the file order),
+// matching the dsm.Raster convention of y growing southward.
 type AscGrid struct {
 	// NCols, NRows are the raster dimensions.
 	NCols, NRows int
@@ -36,69 +38,23 @@ type AscGrid struct {
 	Z []float64
 }
 
-// ReadAsc parses an ESRI ASCII grid.
-func ReadAsc(r io.Reader) (*AscGrid, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	g := &AscGrid{NoData: -9999}
-
-	// Header: key/value lines until the first data row.
-	var dataTokens []string
-	headerDone := false
-	seen := map[string]bool{}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if !headerDone && len(fields) == 2 && !isNumeric(fields[0]) {
-			if err := g.setHeaderField(fields[0], fields[1], seen); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		headerDone = true
-		dataTokens = append(dataTokens, fields...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("gis: reading asc: %w", err)
-	}
-	if !seen["ncols"] || !seen["nrows"] || !seen["cellsize"] {
-		return nil, fmt.Errorf("gis: missing mandatory header keys (ncols/nrows/cellsize)")
-	}
-	if g.NCols <= 0 || g.NRows <= 0 || g.CellSize <= 0 {
-		return nil, fmt.Errorf("gis: invalid grid shape %dx%d cell %g", g.NCols, g.NRows, g.CellSize)
-	}
-	want := g.NCols * g.NRows
-	if len(dataTokens) != want {
-		return nil, fmt.Errorf("gis: %d data values for %dx%d grid (want %d)",
-			len(dataTokens), g.NCols, g.NRows, want)
-	}
-	g.Z = make([]float64, want)
-	for i, tok := range dataTokens {
-		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return nil, fmt.Errorf("gis: data token %d: %q: %w", i, tok, err)
-		}
-		g.Z[i] = v
-	}
-	return g, nil
-}
-
 func isNumeric(s string) bool {
 	_, err := strconv.ParseFloat(s, 64)
 	return err == nil
 }
 
 // setHeaderField parses one "key value" header line into g, recording
-// the key in seen. Shared by the whole-file reader and the windowed
-// reader so header dialects cannot diverge.
+// the key in seen. The dimensions must be whole numbers no larger
+// than math.MaxInt32: they size every later allocation, so a header
+// that rounds or overflows is rejected rather than trusted.
 func (g *AscGrid) setHeaderField(rawKey, rawVal string, seen map[string]bool) error {
 	key := strings.ToLower(rawKey)
 	val, err := strconv.ParseFloat(rawVal, 64)
 	if err != nil {
 		return fmt.Errorf("gis: header %s: bad value %q: %w", key, rawVal, err)
+	}
+	if (key == "ncols" || key == "nrows") && (val != math.Trunc(val) || math.Abs(val) > math.MaxInt32) {
+		return fmt.Errorf("gis: header %s: %q is not a whole number up to %d", key, rawVal, math.MaxInt32)
 	}
 	seen[key] = true
 	switch key {
@@ -144,44 +100,6 @@ func (g *AscGrid) WriteAsc(w io.Writer) error {
 	return nil
 }
 
-// ToRaster converts the grid to a dsm.Raster. NoData cells map to the
-// provided fill elevation (typically the ground datum 0); the count
-// of NoData cells is returned so callers can judge coverage.
-func (g *AscGrid) ToRaster(noDataFill float64) (*dsm.Raster, int, error) {
-	r, err := dsm.NewRaster(g.NCols, g.NRows, g.CellSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	missing := 0
-	for y := 0; y < g.NRows; y++ {
-		for x := 0; x < g.NCols; x++ {
-			v := g.Z[y*g.NCols+x]
-			if v == g.NoData || math.IsNaN(v) {
-				v = noDataFill
-				missing++
-			}
-			r.Set(geom.Cell{X: x, Y: y}, v)
-		}
-	}
-	return r, missing, nil
-}
-
-// NoDataMask returns a mask (grid dims) marking the NoData and NaN
-// cells — the coverage holes a LiDAR survey leaves. District roof
-// extraction consumes it so missing cells never join a roof footprint.
-func (g *AscGrid) NoDataMask() *geom.Mask {
-	m := geom.NewMask(g.NCols, g.NRows)
-	for y := 0; y < g.NRows; y++ {
-		for x := 0; x < g.NCols; x++ {
-			v := g.Z[y*g.NCols+x]
-			if v == g.NoData || math.IsNaN(v) {
-				m.Set(geom.Cell{X: x, Y: y}, true)
-			}
-		}
-	}
-	return m
-}
-
 // gzipMagic is the two-byte RFC 1952 member header every gzip stream
 // starts with.
 var gzipMagic = []byte{0x1f, 0x8b}
@@ -206,31 +124,29 @@ func MaybeGunzip(r io.Reader) (io.Reader, error) {
 	return br, nil
 }
 
-// LoadRaster reads an ESRI ASCII grid — plain or gzip-compressed
+// LoadRaster reads a whole ESRI ASCII grid — plain or gzip-compressed
 // (sniffed by magic bytes) — into a district-ready raster: NoData
 // cells are filled with the ground datum 0, and when any exist the
-// returned mask marks them (nil mask = full coverage). This is the
-// one tile-ingestion path shared by cmd/pvdistrict and the pvserve
-// district endpoint, so NODATA policy cannot diverge between the two
-// surfaces.
+// returned mask marks them (nil mask = full coverage). It decodes
+// through the same windowed reader as OpenWindowed and the tile
+// store, so an in-memory tile and an uploaded or city-scale one
+// accept the same grids and apply the same NODATA policy.
 func LoadRaster(r io.Reader) (*dsm.Raster, *geom.Mask, error) {
 	rr, err := MaybeGunzip(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := ReadAsc(rr)
+	raw, err := io.ReadAll(rr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gis: reading asc: %w", err)
+	}
+	// A full read visits each row block once, in order, so retaining
+	// more than the current block would only raise peak memory.
+	w, err := NewWindowedReader(bytes.NewReader(raw), int64(len(raw)), WindowOptions{CacheBytes: 1})
 	if err != nil {
 		return nil, nil, err
 	}
-	tile, missing, err := g.ToRaster(0)
-	if err != nil {
-		return nil, nil, err
-	}
-	var nodata *geom.Mask
-	if missing > 0 {
-		nodata = g.NoDataMask()
-	}
-	return tile, nodata, nil
+	return w.Window(w.Bounds())
 }
 
 // FromRaster wraps a dsm.Raster for export, with the given lower-left

@@ -21,22 +21,34 @@ NODATA_value -9999
 9.0 10.0 11.0 12.5
 `
 
-func TestReadAsc(t *testing.T) {
-	g, err := ReadAsc(strings.NewReader(sampleAsc))
+// header indexes asc through the windowed reader and returns its
+// parsed header.
+func header(t *testing.T, asc string) AscGrid {
+	t.Helper()
+	w, err := NewWindowedReader(strings.NewReader(asc), int64(len(asc)), WindowOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return w.Header()
+}
+
+func TestReadAsc(t *testing.T) {
+	g := header(t, sampleAsc)
 	if g.NCols != 4 || g.NRows != 3 {
 		t.Fatalf("dims %dx%d", g.NCols, g.NRows)
 	}
-	if g.CellSize != 0.2 || g.XLLCorner != 395000.5 || g.YLLCorner != 5000020 {
+	if g.CellSize != 0.2 || g.XLLCorner != 395000.5 || g.YLLCorner != 5000020 || g.NoData != -9999 {
 		t.Errorf("georeference wrong: %+v", g)
 	}
-	if g.Z[0] != 1.0 || g.Z[11] != 12.5 {
-		t.Errorf("data order wrong: %v", g.Z)
+	r, mask, err := LoadRaster(strings.NewReader(sampleAsc))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.Z[5] != -9999 {
-		t.Errorf("nodata cell = %g", g.Z[5])
+	if r.At(geom.Cell{X: 0, Y: 0}) != 1.0 || r.At(geom.Cell{X: 3, Y: 2}) != 12.5 {
+		t.Errorf("data order wrong")
+	}
+	if mask == nil || !mask.Get(geom.Cell{X: 1, Y: 1}) {
+		t.Errorf("nodata cell not masked")
 	}
 }
 
@@ -51,48 +63,54 @@ func TestReadAscErrors(t *testing.T) {
 		"bad data token":   "ncols 2\nnrows 1\ncellsize 1\n1 zz\n",
 		"zero dims":        "ncols 0\nnrows 1\ncellsize 1\n",
 		"bad cellsize":     "ncols 1\nnrows 1\ncellsize -1\n5\n",
+		"fractional ncols": "ncols 2.7\nnrows 1\ncellsize 1\n1 2\n",
+		"fractional nrows": "ncols 2\nnrows 1.5\ncellsize 1\n1 2\n",
+		"ncols over int32": "ncols 4294967296\nnrows 1\ncellsize 1\n1 2\n",
+		"huge ncols":       hugeHeader,
+		"split rows":       "ncols 4\nnrows 2\ncellsize 1\n1 2\n3 4\n5 6\n7 8\n",
 	}
 	for name, data := range cases {
-		if _, err := ReadAsc(strings.NewReader(data)); err == nil {
+		if _, _, err := LoadRaster(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
+// hugeHeader claims a two-billion-column row but carries one value:
+// the decoder must reject it from the line length alone, before
+// allocating anything sized by the header.
+const hugeHeader = "ncols 2000000000\nnrows 1\ncellsize 1\n0\n"
+
 func TestRoundTrip(t *testing.T) {
-	g, err := ReadAsc(strings.NewReader(sampleAsc))
+	r, _, err := LoadRaster(strings.NewReader(sampleAsc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := header(t, sampleAsc)
 	var buf bytes.Buffer
-	if err := g.WriteAsc(&buf); err != nil {
+	if err := FromRaster(r, g.XLLCorner, g.YLLCorner).WriteAsc(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadAsc(&buf)
+	if back := header(t, buf.String()); back.NCols != g.NCols || back.NRows != g.NRows || back.CellSize != g.CellSize ||
+		back.XLLCorner != g.XLLCorner || back.YLLCorner != g.YLLCorner {
+		t.Fatalf("header roundtrip failed: %+v vs %+v", back, g)
+	}
+	back, _, err := LoadRaster(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NCols != g.NCols || back.NRows != g.NRows || back.CellSize != g.CellSize {
-		t.Fatal("header roundtrip failed")
-	}
-	for i := range g.Z {
-		if g.Z[i] != back.Z[i] {
-			t.Fatalf("data roundtrip failed at %d: %g vs %g", i, g.Z[i], back.Z[i])
-		}
+	if back.ContentHash() != r.ContentHash() {
+		t.Fatal("data roundtrip failed")
 	}
 }
 
 func TestToRaster(t *testing.T) {
-	g, err := ReadAsc(strings.NewReader(sampleAsc))
+	r, mask, err := LoadRaster(strings.NewReader(sampleAsc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, missing, err := g.ToRaster(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing != 1 {
-		t.Errorf("missing = %d, want 1", missing)
+	if mask == nil || mask.Count() != 1 {
+		t.Errorf("nodata mask = %v, want 1 cell", mask)
 	}
 	if r.At(geom.Cell{X: 1, Y: 1}) != 0 {
 		t.Error("nodata cell should take the fill value")
@@ -121,16 +139,12 @@ func TestFromRasterRoundTrip(t *testing.T) {
 	if err := g.WriteAsc(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadAsc(&buf)
+	r2, mask, err := LoadRaster(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, missing, err := back.ToRaster(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missing != 0 {
-		t.Errorf("unexpected nodata cells: %d", missing)
+	if mask != nil {
+		t.Errorf("unexpected nodata cells: %d", mask.Count())
 	}
 	for y := 0; y < scene.Raster.H(); y++ {
 		for x := 0; x < scene.Raster.W(); x++ {
@@ -146,7 +160,10 @@ func TestFromRasterRoundTrip(t *testing.T) {
 func TestXllcenterVariantAccepted(t *testing.T) {
 	asc := strings.Replace(sampleAsc, "xllcorner", "xllcenter", 1)
 	asc = strings.Replace(asc, "yllcorner", "yllcenter", 1)
-	if _, err := ReadAsc(strings.NewReader(asc)); err != nil {
+	if _, _, err := LoadRaster(strings.NewReader(asc)); err != nil {
 		t.Errorf("xllcenter/yllcenter variant rejected: %v", err)
+	}
+	if g := header(t, asc); g.XLLCorner != 395000.5 || g.YLLCorner != 5000020 {
+		t.Errorf("xllcenter/yllcenter not parsed: %+v", g)
 	}
 }

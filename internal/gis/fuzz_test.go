@@ -2,6 +2,7 @@ package gis
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,11 +13,12 @@ import (
 	"repro/internal/geom"
 )
 
-// FuzzReadAsc hammers the ASC parser with arbitrary bytes. The parser
-// must never panic; when it accepts an input, the parsed grid must be
-// internally consistent and survive a write→read round trip with an
-// identical header and identical data bits.
-func FuzzReadAsc(f *testing.F) {
+// FuzzLoadRaster hammers the ASC decoder with arbitrary bytes. It
+// must never panic, and an accepted grid must be bounded by its input
+// (at most one cell per byte), survive a FromRaster → WriteAsc →
+// LoadRaster round trip bit for bit, and agree row by row with a
+// windowed read of the same bytes.
+func FuzzLoadRaster(f *testing.F) {
 	f.Add([]byte(sampleAsc))
 	f.Add([]byte("ncols 2\nnrows 2\ncellsize 0.2\n1 2\n3 4\n"))
 	f.Add([]byte("ncols 1\nnrows 1\nxllcenter 5\nyllcenter 6\ncellsize 1\nNODATA_value -1\n-1\n"))
@@ -29,53 +31,94 @@ func FuzzReadAsc(f *testing.F) {
 		lines := strings.SplitN(string(fix), "\n", 10)
 		f.Add([]byte(strings.Join(lines[:6], "\n") + "\n"))
 	}
+	f.Add([]byte(hugeHeader))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadAsc(bytes.NewReader(data))
+		full, mask, err := LoadRaster(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if g.NCols <= 0 || g.NRows <= 0 || g.CellSize <= 0 {
-			t.Fatalf("accepted invalid shape: %dx%d cell %g", g.NCols, g.NRows, g.CellSize)
+		zr, err := MaybeGunzip(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("accepted input fails to gunzip: %v", err)
 		}
-		if len(g.Z) != g.NCols*g.NRows {
-			t.Fatalf("accepted %d values for %dx%d grid", len(g.Z), g.NCols, g.NRows)
+		raw, err := io.ReadAll(zr)
+		if err != nil {
+			t.Fatalf("accepted input fails to inflate: %v", err)
 		}
+		if cells := full.W() * full.H(); cells > len(raw) {
+			t.Fatalf("accepted %d cells from %d bytes", cells, len(raw))
+		}
+
+		w, err := NewWindowedReader(bytes.NewReader(raw), int64(len(raw)), WindowOptions{BlockRows: 3})
+		if err != nil {
+			t.Fatalf("windowed reader rejects an accepted grid: %v", err)
+		}
+		hdr := w.Header()
+		for y := 0; y < full.H(); y++ {
+			row, rowMask, err := w.Window(geom.Rect{X0: 0, Y0: y, X1: full.W(), Y1: y + 1})
+			if err != nil {
+				t.Fatalf("row %d: %v", y, err)
+			}
+			for x := 0; x < full.W(); x++ {
+				c := geom.Cell{X: x, Y: y}
+				if got, want := row.At(geom.Cell{X: x}), full.At(c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("row window cell %v = %g, full read %g", c, got, want)
+				}
+				if got, want := rowMask != nil && rowMask.Get(geom.Cell{X: x}), mask != nil && mask.Get(c); got != want {
+					t.Fatalf("row window cell %v nodata %v, full read %v", c, got, want)
+				}
+			}
+		}
+
 		var buf bytes.Buffer
-		if err := g.WriteAsc(&buf); err != nil {
+		if err := FromRaster(full, hdr.XLLCorner, hdr.YLLCorner).WriteAsc(&buf); err != nil {
 			t.Fatalf("write of accepted grid failed: %v", err)
 		}
-		back, err := ReadAsc(&buf)
+		bw, err := NewWindowedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), WindowOptions{})
 		if err != nil {
 			t.Fatalf("round trip of accepted grid failed: %v", err)
 		}
 		// Header floats can legitimately be NaN (e.g. "xllcorner nan"
-		// parses), and NaN != NaN — compare like the data cells: bit
-		// pattern, any-NaN-matches-any-NaN.
+		// parses), and NaN != NaN: compare bit patterns, any NaN
+		// matching any NaN.
 		sameF := func(a, b float64) bool {
 			return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 		}
-		if back.NCols != g.NCols || back.NRows != g.NRows ||
-			!sameF(back.CellSize, g.CellSize) || !sameF(back.NoData, g.NoData) ||
-			!sameF(back.XLLCorner, g.XLLCorner) || !sameF(back.YLLCorner, g.YLLCorner) {
-			t.Fatalf("header drifted: %+v vs %+v", g, back)
+		if back := bw.Header(); back.NCols != hdr.NCols || back.NRows != hdr.NRows ||
+			!sameF(back.CellSize, hdr.CellSize) ||
+			!sameF(back.XLLCorner, hdr.XLLCorner) || !sameF(back.YLLCorner, hdr.YLLCorner) {
+			t.Fatalf("header drifted: %+v vs %+v", hdr, back)
 		}
-		for i := range g.Z {
-			// %g prints shortest-round-trip floats, so the bits must
-			// survive exactly (NaN payloads excepted: any NaN is fine).
-			if math.IsNaN(g.Z[i]) && math.IsNaN(back.Z[i]) {
-				continue
-			}
-			if math.Float64bits(g.Z[i]) != math.Float64bits(back.Z[i]) {
-				t.Fatalf("Z[%d] drifted: %g (%x) vs %g (%x)",
-					i, g.Z[i], math.Float64bits(g.Z[i]), back.Z[i], math.Float64bits(back.Z[i]))
+		back, backMask, err := LoadRaster(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("round trip of accepted grid failed: %v", err)
+		}
+		for y := 0; y < full.H(); y++ {
+			for x := 0; x < full.W(); x++ {
+				// %g prints shortest-round-trip floats, so the bits
+				// must survive exactly. The one exception is a cell
+				// equal to FromRaster's own sentinel, which the
+				// re-read takes as NODATA.
+				c := geom.Cell{X: x, Y: y}
+				want, wantHole := full.At(c), false
+				if want == -9999 {
+					want, wantHole = 0, true
+				}
+				if got := back.At(c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("cell %v drifted: %g (%x) vs %g (%x)",
+						c, want, math.Float64bits(want), got, math.Float64bits(got))
+				}
+				if gotHole := backMask != nil && backMask.Get(c); gotHole != wantHole {
+					t.Fatalf("cell %v nodata %v after round trip, want %v", c, gotHole, wantHole)
+				}
 			}
 		}
 	})
 }
 
 // FuzzRasterRoundTrip drives the dsm.Raster → AscGrid → text →
-// AscGrid → dsm.Raster cycle with fuzzed shapes, georeference and a
+// LoadRaster → dsm.Raster cycle with fuzzed shapes, georeference and a
 // procedurally filled surface: the reconstruction must be cell-exact
 // and NODATA accounting must match.
 func FuzzRasterRoundTrip(f *testing.F) {
@@ -115,19 +158,12 @@ func FuzzRasterRoundTrip(f *testing.F) {
 		if err := g.WriteAsc(&buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		back, err := ReadAsc(&buf)
+		r2, mask, err := LoadRaster(&buf)
 		if err != nil {
 			t.Fatalf("read back: %v", err)
 		}
-		r2, missing, err := back.ToRaster(0)
-		if err != nil {
-			t.Fatalf("to raster: %v", err)
-		}
-		if missing != 0 {
-			t.Fatalf("%d cells misread as NODATA", missing)
-		}
-		if back.NoDataMask().Count() != 0 {
-			t.Fatal("NoDataMask nonempty on a fully valid grid")
+		if mask != nil {
+			t.Fatalf("%d cells misread as NODATA", mask.Count())
 		}
 		if r2.W() != w || r2.H() != h || r2.CellSize() != cellSize {
 			t.Fatalf("shape drifted: %dx%d cell %g", r2.W(), r2.H(), r2.CellSize())

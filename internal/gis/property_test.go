@@ -31,12 +31,13 @@ func TestAscRoundTripProperty(t *testing.T) {
 		if err := g.WriteAsc(&buf); err != nil {
 			return false
 		}
-		back, err := ReadAsc(&buf)
+		wr, err := NewWindowedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), WindowOptions{})
 		if err != nil {
 			return false
 		}
-		r2, missing, err := back.ToRaster(0)
-		if err != nil || missing != 0 {
+		back := wr.Header()
+		r2, mask, err := LoadRaster(&buf)
+		if err != nil || mask != nil {
 			return false
 		}
 		for y := 0; y < h; y++ {

@@ -56,10 +56,11 @@ type block struct {
 // full grid: peak memory is O(window + cache budget), independent of
 // city size.
 //
-// The reader requires the file to hold exactly one raster row per
-// line (the layout WriteAsc and every mainstream GIS exporter
-// produce); a row split across lines is reported as an error when its
-// block is first decoded.
+// It is the package's only ASC decoder: LoadRaster reads a whole grid
+// through it, so every ingestion surface requires exactly one raster
+// row per line (the layout WriteAsc and every mainstream GIS exporter
+// produce). A row split across lines is rejected when the file is
+// indexed, or at the latest when its block is first decoded.
 //
 // Window is safe for concurrent use; the city pipeline's tile workers
 // share one reader.
@@ -206,6 +207,14 @@ func (w *WindowedReader) scanIndex(size int64) error {
 					return err
 				}
 			default:
+				// ncols values need ncols characters and ncols-1
+				// separators: a shorter line cannot be a row, and
+				// rejecting it here bounds the decoded grid by the
+				// input size before any raster is allocated.
+				if n := w.hdr.NCols; len(trimmed) < 2*n-1 {
+					return fmt.Errorf("gis: data line %d has %d bytes, too short for ncols %d",
+						len(w.rowOff)+1, len(trimmed), n)
+				}
 				headerDone = true
 				w.rowOff = append(w.rowOff, lineStart)
 			}
@@ -388,9 +397,10 @@ func (w *WindowedReader) decodeBlock(bi int) (*block, error) {
 }
 
 // RasterSource adapts an in-memory raster (plus optional NODATA mask)
-// to the same Bounds/CellSize/Window surface as WindowedReader, so
-// the city pipeline can run over an already-loaded tile — the pvserve
-// /v1/city endpoint's path.
+// to the same Bounds/CellSize/Window surface as WindowedReader, so a
+// tile already in memory — the built-in demo neighborhood, or an
+// inline grid decoded by LoadRaster — feeds the same source-driven
+// district and city paths as a file opened with OpenWindowed.
 type RasterSource struct {
 	Raster *dsm.Raster
 	NoData *geom.Mask // nil = full coverage

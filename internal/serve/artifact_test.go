@@ -79,9 +79,19 @@ func TestTileUploadAPI(t *testing.T) {
 		t.Errorf("gzipped upload ref %s, plain %s — content addressing must converge", zipped.Ref, plain.Ref)
 	}
 
-	w := postJSON(t, s, "/v1/tiles", "not a grid")
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("garbage upload = %d, want 400 (%s)", w.Code, w.Body)
+	// Garbage, a fractional ncols, and a 38-byte header that claims
+	// two billion columns: each is a 400 before anything is stored or
+	// allocated, and the server keeps serving.
+	for _, body := range []string{
+		"not a grid",
+		"ncols 2.7\nnrows 1\ncellsize 1\n1 2\n",
+		"ncols 2000000000\nnrows 1\ncellsize 1\n0\n",
+	} {
+		w := postJSON(t, s, "/v1/tiles", body)
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); w.Code != http.StatusBadRequest || err != nil || eb.Error.Code != "invalid_request" {
+			t.Errorf("upload %q = %d, want 400 invalid_request (%s)", body, w.Code, w.Body)
+		}
 	}
 
 	var h Health
@@ -90,6 +100,108 @@ func TestTileUploadAPI(t *testing.T) {
 	}
 	if h.Tiles == nil || h.Tiles.Count != 1 {
 		t.Errorf("healthz tiles = %+v, want count 1 (dedup across plain+gzip)", h.Tiles)
+	}
+}
+
+// TestTileUploadSurfaceAgreement pins one verdict per grid on every
+// ingestion surface: inline tile_asc on /v1/district and /v1/city and
+// an upload to /v1/tiles all answer 400, or all accept the grid. An
+// accepted grid's district and city reports equal the same grid's
+// tile_ref runs byte for byte.
+func TestTileUploadSurfaceAgreement(t *testing.T) {
+	s := newTestServer(t, Options{TilesDir: t.TempDir()})
+	asc := loadTileASC(t)
+	lines := strings.SplitAfter(asc, "\n")
+	const row0 = 6 // the fixture's first data line, after its header
+	edit := func(f func(ls []string)) string {
+		ls := append([]string(nil), lines...)
+		f(ls)
+		return strings.Join(ls, "")
+	}
+
+	cases := []struct {
+		name   string
+		inline string // tile_asc text
+		upload []byte // POST /v1/tiles body
+		ok     bool
+	}{
+		{name: "split rows", inline: edit(func(ls []string) {
+			ls[row0] = strings.Replace(ls[row0], " ", "\n", 1)
+		})},
+		{name: "ragged rows", inline: edit(func(ls []string) {
+			ls[row0] = "0 " + ls[row0]
+			ls[row0+1] = strings.TrimPrefix(ls[row0+1], "0 ")
+		})},
+		{name: "fractional ncols", inline: "ncols 2.7\nnrows 1\ncellsize 1\n1 2\n"},
+		{name: "crlf", inline: strings.ReplaceAll(asc, "\n", "\r\n"), ok: true},
+		{name: "nodata and nan cells", inline: edit(func(ls []string) {
+			ls[row0] = "-9999 nan " + strings.TrimPrefix(ls[row0], "0 0 ")
+		}), ok: true},
+		// A JSON string cannot carry the binary stream, so the inline
+		// surfaces send the text that the gzipped upload inflates to.
+		{name: "gzipped", inline: asc, upload: gzipBytes(t, []byte(asc)), ok: true},
+	}
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return w
+	}
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	// results runs a district and a city sweep over dr and returns
+	// their response recorders.
+	results := func(dr DistrictRequest) (district, city *httptest.ResponseRecorder) {
+		return post("/v1/district", mustJSON(dr)),
+			post("/v1/city", mustJSON(CityRequest{DistrictRequest: dr, TileCells: 80}))
+	}
+	// final returns the named payload of a stream's result event.
+	final := func(t *testing.T, w *httptest.ResponseRecorder, key string) []byte {
+		t.Helper()
+		lines := ndjsonLines(t, w.Body.String())
+		last := lines[len(lines)-1]
+		if ev := eventOf(t, last); ev != "result" {
+			t.Fatalf("last event = %q, want result: %s", ev, w.Body)
+		}
+		var out bytes.Buffer
+		if err := json.Compact(&out, last[key]); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			upload := tc.upload
+			if upload == nil {
+				upload = []byte(tc.inline)
+			}
+			district, city := results(DistrictRequest{TileASC: tc.inline})
+			up := post("/v1/tiles", upload)
+			want := map[bool][3]int{false: {400, 400, 400}, true: {200, 200, 201}}[tc.ok]
+			if got := [3]int{district.Code, city.Code, up.Code}; got != want {
+				t.Fatalf("district/city/upload = %v, want %v\ndistrict: %.200s\ncity: %.200s\nupload: %.200s",
+					got, want, district.Body, city.Body, up.Body)
+			}
+			if !tc.ok {
+				return
+			}
+			var info tilestore.Info
+			if err := json.Unmarshal(up.Body.Bytes(), &info); err != nil {
+				t.Fatal(err)
+			}
+			refDistrict, refCity := results(DistrictRequest{TileRef: info.Ref})
+			if a, b := final(t, district, "district"), final(t, refDistrict, "district"); !bytes.Equal(a, b) {
+				t.Errorf("inline district report differs from tile_ref:\ninline: %s\nref:    %s", a, b)
+			}
+			if a, b := final(t, city, "city"), final(t, refCity, "city"); !bytes.Equal(a, b) {
+				t.Errorf("inline city report differs from tile_ref:\ninline: %s\nref:    %s", a, b)
+			}
+		})
 	}
 }
 

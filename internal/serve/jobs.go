@@ -219,7 +219,7 @@ func (s *Server) runJob(j *jobs.Job) {
 	// A tile_ref job re-opens the uploaded tile through the windowed
 	// reader — the manifest persists only the ref, so a resumed job on
 	// a restarted process rebuilds its source from the tile store.
-	src, closeSrc, err := s.citySource(req.City.DistrictRequest)
+	src, closeSrc, err := s.source(req.City.DistrictRequest)
 	if err != nil {
 		fail(err)
 		return

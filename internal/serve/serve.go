@@ -22,6 +22,12 @@
 // byte-equivalent after ordering and both stay pinned by the golden
 // corpus.
 //
+// Every DSM endpoint resolves its tile through one function (source):
+// the demo neighborhood, an upload named by tile_ref and read out of
+// core, or the deprecated inline tile_asc text. Inline and uploaded
+// grids share gis's one ASC decoder, so every surface accepts and
+// rejects the same grids — one raster row per line.
+//
 // Every request runs under a bounded job pool (Options.
 // MaxConcurrentRuns running, Options.QueueDepth waiting; excess
 // requests get 503 with a Retry-After derived from the observed run
@@ -46,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -54,9 +59,7 @@ import (
 	pvfloor "repro"
 	"repro/internal/blobstore"
 	"repro/internal/district"
-	"repro/internal/dsm"
 	"repro/internal/fieldcache"
-	"repro/internal/geom"
 	"repro/internal/gis"
 	"repro/internal/jobs"
 	"repro/internal/tilestore"
@@ -357,7 +360,15 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	cfg.Tile, cfg.NoData, err = s.tile(req)
+	src, closeSrc, err := s.source(req)
+	if err != nil {
+		writeTileError(w, err)
+		return
+	}
+	if closeSrc != nil {
+		defer closeSrc.Close()
+	}
+	cfg.Tile, cfg.NoData, err = src.Window(src.Bounds())
 	if err != nil {
 		writeTileError(w, err)
 		return
@@ -385,10 +396,10 @@ func (s *Server) handleDistrict(w http.ResponseWriter, r *http.Request) {
 // "tile-finished" lifecycle events per work tile, roof events with
 // tile provenance in city coordinates, then a final deterministic
 // "result" event embedding the shared pvfloor.CityReport. A tile_ref
-// request is ingested out of core — citySource windows the stored
-// upload through gis.OpenWindowed, O(window) memory however large the
-// grid — while inline and demo tiles run the same tiled pipeline over
-// their in-memory raster.
+// request is ingested out of core — source windows the stored upload
+// through gis.OpenWindowed, O(window) memory however large the grid —
+// while inline and demo tiles run the same tiled pipeline over their
+// in-memory raster.
 func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 	var req CityRequest
 	if !s.decode(w, r, &req) {
@@ -409,7 +420,7 @@ func (s *Server) handleCity(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	src, closeSrc, err := s.citySource(req.DistrictRequest)
+	src, closeSrc, err := s.source(req.DistrictRequest)
 	if err != nil {
 		writeTileError(w, err)
 		return
@@ -530,48 +541,22 @@ func writeTileError(w http.ResponseWriter, err error) {
 	}
 }
 
-// tile materialises the request's DSM in memory: the embedded ASCII
-// grid, a stored upload named by tile_ref, or the built-in synthetic
-// neighborhood with Demo. Call only after validateTile (and after
-// pool admission — parsing a 16 MiB grid is the expensive part of
-// request setup).
-func (s *Server) tile(dr DistrictRequest) (*dsm.Raster, *geom.Mask, error) {
+// source resolves the request's tile choice into the CitySource every
+// DSM endpoint runs over: the built-in synthetic neighborhood with
+// Demo, a stored upload opened out of core through gis.OpenWindowed
+// with tile_ref, or the inline tile_asc grid decoded whole by
+// gis.LoadRaster. LoadRaster is the windowed reader's decoder, so an
+// inline grid is accepted exactly when the same grid uploaded to
+// /v1/tiles would be; decoding it here keeps a malformed one a 400
+// before any stream starts. The closer, non-nil only for tile_ref,
+// releases the reader when the run finishes. Call only after
+// validateTile and after pool admission: decoding a 16 MiB grid is
+// the expensive part of request setup.
+func (s *Server) source(dr DistrictRequest) (pvfloor.CitySource, io.Closer, error) {
 	switch {
 	case dr.Demo:
-		return district.SyntheticNeighborhood(), nil, nil
+		return &gis.RasterSource{Raster: district.SyntheticNeighborhood()}, nil, nil
 	case dr.TileRef != "":
-		path, err := s.tiles.Path(dr.TileRef)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
-		}
-		defer f.Close()
-		tile, nodata, err := gis.LoadRaster(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("reading tile %s: %w", dr.TileRef, err)
-		}
-		return tile, nodata, nil
-	default:
-		tile, nodata, err := gis.LoadRaster(strings.NewReader(dr.TileASC))
-		if err != nil {
-			return nil, nil, fmt.Errorf("parsing tile_asc: %w", err)
-		}
-		return tile, nodata, nil
-	}
-}
-
-// citySource materialises the request's DSM as a CitySource for the
-// tiled pipeline. A tile_ref request is served through
-// gis.OpenWindowed over the stored (gzipped) upload — the true
-// out-of-core path, O(window) memory however large the upload — and
-// the returned closer releases the reader when the run finishes.
-// Inline and demo tiles wrap their in-memory raster; their closer is
-// nil.
-func (s *Server) citySource(dr DistrictRequest) (pvfloor.CitySource, io.Closer, error) {
-	if dr.TileRef != "" {
 		path, err := s.tiles.Path(dr.TileRef)
 		if err != nil {
 			return nil, nil, err
@@ -581,10 +566,11 @@ func (s *Server) citySource(dr DistrictRequest) (pvfloor.CitySource, io.Closer, 
 			return nil, nil, fmt.Errorf("opening tile %s: %w", dr.TileRef, err)
 		}
 		return wr, wr, nil
+	default:
+		tile, nodata, err := gis.LoadRaster(strings.NewReader(dr.TileASC))
+		if err != nil {
+			return nil, nil, fmt.Errorf("parsing tile_asc: %w", err)
+		}
+		return &gis.RasterSource{Raster: tile, NoData: nodata}, nil, nil
 	}
-	tile, nodata, err := s.tile(dr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &gis.RasterSource{Raster: tile, NoData: nodata}, nil, nil
 }

@@ -121,11 +121,7 @@ func loadTileASC(t *testing.T) string {
 
 func parseTile(t *testing.T, asc string) *dsm.Raster {
 	t.Helper()
-	g, err := gis.ReadAsc(strings.NewReader(asc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tile, _, err := g.ToRaster(0)
+	tile, _, err := gis.LoadRaster(strings.NewReader(asc))
 	if err != nil {
 		t.Fatal(err)
 	}

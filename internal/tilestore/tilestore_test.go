@@ -117,6 +117,10 @@ func TestPutRejectsInvalidTiles(t *testing.T) {
 		"bad token":      "ncols 2\nnrows 1\ncellsize 1\n1 zz\n",
 		"zero cellsize":  "ncols 2\nnrows 1\ncellsize 0\n1 2\n",
 		"truncated gzip": string(gz(t, sampleASC)[:10]),
+		"ncols 2.7":      "ncols 2.7\nnrows 1\ncellsize 1\n1 2\n",
+		// Claims a two-billion-column row: rejected from the line
+		// length before any raster is allocated.
+		"38-byte header": "ncols 2000000000\nnrows 1\ncellsize 1\n0\n",
 	}
 	for name, body := range bad {
 		if _, err := s.Put(strings.NewReader(body)); err == nil {
