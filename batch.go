@@ -215,12 +215,7 @@ func runOne(i int, cfg Config, g *fieldGroup) BatchRun {
 	}
 	g.once.Do(func() {
 		g.built = int32(i)
-		g.ev, g.err = cfg.Scenario.FieldWith(scenario.FieldConfig{
-			Grid:    cfg.effectiveGrid(),
-			Fast:    cfg.Fidelity != Full,
-			Workers: g.workers,
-			Cache:   cfg.Cache,
-		})
+		g.ev, g.err = cfg.buildField(g.workers)
 	})
 	br.FieldBuilt = g.built == int32(i) && g.err == nil
 	if g.err != nil {

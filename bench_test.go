@@ -66,7 +66,7 @@ func roofStates(b *testing.B) []*benchState {
 			return
 		}
 		for _, sc := range scs {
-			ev, err := sc.FieldFast(scenario.FastGrid())
+			ev, err := sc.FieldWith(scenario.FieldConfig{Grid: scenario.FastGrid(), Fast: true})
 			if err != nil {
 				benchErr = err
 				return
@@ -741,13 +741,14 @@ func BenchmarkWarmRemoteCache(b *testing.B) {
 
 // BenchmarkHorizonBuild measures the horizon-map precomputation — the
 // dominant setup cost of the shadow model (the GIS stage the paper
-// runs once per roof).
+// runs once per roof) — as the serial march of the roof as a
+// one-region tile.
 func BenchmarkHorizonBuild(b *testing.B) {
 	b.ReportAllocs()
 	st := roofStates(b)[0]
 	for i := 0; i < b.N; i++ {
-		if _, err := horizon.Build(st.sc.Scene.Raster, st.sc.Scene.RoofRect,
-			horizon.Options{Sectors: 32, MaxDistanceM: 40}); err != nil {
+		if _, err := horizon.BuildRegions(st.sc.Scene.Raster, []geom.Rect{st.sc.Scene.RoofRect},
+			horizon.Options{Sectors: 32, MaxDistanceM: 40}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,13 +91,11 @@ func (h *harness) fields(sc *scenario.Scenario) *field.Evaluator {
 	if r, ok := h.runs[key]; ok {
 		return r.Evaluator
 	}
-	var ev *field.Evaluator
-	var err error
+	fc := scenario.FieldConfig{Grid: scenario.FastGrid(), Fast: true}
 	if h.fid == pvfloor.Full {
-		ev, err = sc.Field(scenario.FullYearGrid())
-	} else {
-		ev, err = sc.FieldFast(scenario.FastGrid())
+		fc = scenario.FieldConfig{Grid: scenario.FullYearGrid()}
 	}
+	ev, err := sc.FieldWith(fc)
 	if err != nil {
 		log.Fatal(err)
 	}

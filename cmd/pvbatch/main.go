@@ -49,7 +49,7 @@ func main() {
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory (horizon maps + statistics reused across invocations)")
 	flag.Parse()
 
-	scs, err := pickScenarios(*roofs)
+	scs, err := scenario.Pick(*roofs, "1", "2", "3")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,58 +114,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func pickScenarios(spec string) ([]*scenario.Scenario, error) {
-	var out []*scenario.Scenario
-	seen := map[string]bool{}
-	add := func(sc *scenario.Scenario, err error) error {
-		if err != nil {
-			return err
-		}
-		if !seen[sc.Name] {
-			seen[sc.Name] = true
-			out = append(out, sc)
-		}
-		return nil
-	}
-	for _, tok := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(tok) {
-		case "all":
-			scs, err := pvfloor.AllRoofs()
-			if err != nil {
-				return nil, err
-			}
-			for _, sc := range scs {
-				if err := add(sc, nil); err != nil {
-					return nil, err
-				}
-			}
-		case "1":
-			if err := add(pvfloor.Roof1()); err != nil {
-				return nil, err
-			}
-		case "2":
-			if err := add(pvfloor.Roof2()); err != nil {
-				return nil, err
-			}
-		case "3":
-			if err := add(pvfloor.Roof3()); err != nil {
-				return nil, err
-			}
-		case "residential", "res":
-			if err := add(pvfloor.Residential()); err != nil {
-				return nil, err
-			}
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown scenario %q (want all, 1, 2, 3 or residential)", tok)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no scenarios selected")
-	}
-	return out, nil
 }
 
 func parseCounts(spec string) ([]int, error) {

@@ -44,10 +44,14 @@ func main() {
 	cacheDir := flag.String("cache", "", "persistent field-artifact cache directory (horizon maps + statistics reused across invocations)")
 	flag.Parse()
 
-	sc, err := pickScenario(*roof)
+	scs, err := scenario.Pick(*roof)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(scs) != 1 {
+		log.Fatalf("-roof names one scenario, got %q", *roof)
+	}
+	sc := scs[0]
 	fid := pvfloor.Fast
 	if *full {
 		fid = pvfloor.Full
@@ -106,21 +110,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("PGM maps written to", *pgmDir)
-	}
-}
-
-func pickScenario(name string) (*scenario.Scenario, error) {
-	switch name {
-	case "1":
-		return pvfloor.Roof1()
-	case "2":
-		return pvfloor.Roof2()
-	case "3":
-		return pvfloor.Roof3()
-	case "residential", "res":
-		return pvfloor.Residential()
-	default:
-		return nil, fmt.Errorf("unknown scenario %q (want 1, 2, 3 or residential)", name)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	pvfloor "repro"
 	"repro/internal/geom"
 	"repro/internal/render"
 	"repro/internal/scenario"
@@ -34,23 +33,14 @@ func main() {
 	outDir := flag.String("out", "", "directory for PGM/CSV artifacts")
 	flag.Parse()
 
-	var sc *scenario.Scenario
-	var err error
-	switch *roof {
-	case "1":
-		sc, err = pvfloor.Roof1()
-	case "2":
-		sc, err = pvfloor.Roof2()
-	case "3":
-		sc, err = pvfloor.Roof3()
-	case "residential", "res":
-		sc, err = pvfloor.Residential()
-	default:
-		log.Fatalf("unknown scenario %q", *roof)
-	}
+	scs, err := scenario.Pick(*roof)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(scs) != 1 {
+		log.Fatalf("-roof names one scenario, got %q", *roof)
+	}
+	sc := scs[0]
 
 	ev := mustField(sc, *full)
 	cs, err := ev.StatsPercentile(*pct)
@@ -97,14 +87,11 @@ func main() {
 }
 
 func mustField(sc *scenario.Scenario, full bool) *field.Evaluator {
+	fc := scenario.FieldConfig{Grid: scenario.FastGrid(), Fast: true}
 	if full {
-		ev, err := sc.Field(scenario.FullYearGrid())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return ev
+		fc = scenario.FieldConfig{Grid: scenario.FullYearGrid()}
 	}
-	ev, err := sc.FieldFast(scenario.FastGrid())
+	ev, err := sc.FieldWith(fc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -328,12 +328,7 @@ func RunDistrict(cfg DistrictConfig) (*DistrictResult, error) {
 // replaces rp.Run.
 func (cfg DistrictConfig) retryShrinking(rp *RoofPlan) {
 	start := time.Now()
-	ev, err := rp.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:    cfg.roofConfig(rp.Scenario, rp.Modules).effectiveGrid(),
-		Fast:    cfg.Fidelity != Full,
-		Workers: cfg.FieldWorkers,
-		Cache:   cfg.Cache,
-	})
+	ev, err := cfg.roofConfig(rp.Scenario, rp.Modules).buildField(cfg.FieldWorkers)
 	if err != nil {
 		rp.Run.Err = fmt.Errorf("pvfloor: district retry (%s): field: %w", rp.Run.Name, err)
 		rp.Run.Elapsed += time.Since(start)

@@ -38,7 +38,7 @@ func ExampleRunWithField() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := sc.FieldFast(scenario.FastGrid())
+	ev, err := sc.FieldWith(scenario.FieldConfig{Grid: scenario.FastGrid(), Fast: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dsm"
@@ -131,20 +132,8 @@ type FieldConfig struct {
 	Cache *fieldcache.Cache
 }
 
-// Field builds the solar-field evaluator for the scenario on the
-// given calendar with full-fidelity horizon options.
-func (s *Scenario) Field(grid *timegrid.Grid) (*field.Evaluator, error) {
-	return s.FieldWith(FieldConfig{Grid: grid})
-}
-
-// FieldFast builds the evaluator with reduced horizon fidelity
-// (32 sectors, 40 m rays) — a few times faster to construct, for
-// tests and interactive runs.
-func (s *Scenario) FieldFast(grid *timegrid.Grid) (*field.Evaluator, error) {
-	return s.FieldWith(FieldConfig{Grid: grid, Fast: true})
-}
-
-// FieldWith builds the evaluator according to cfg.
+// FieldWith builds the scenario's solar-field evaluator according to
+// cfg.
 func (s *Scenario) FieldWith(cfg FieldConfig) (*field.Evaluator, error) {
 	wx, err := weather.NewSynthetic(s.Seed, s.Climate)
 	if err != nil {
@@ -384,6 +373,51 @@ func All() ([]*Scenario, error) {
 		return nil, err
 	}
 	return []*Scenario{r1, r2, r3}, nil
+}
+
+// Pick resolves a scenario spec as the command-line tools spell it: a
+// comma-separated list of "1", "2", "3" and "residential" (or "res"),
+// blank entries ignored, each scenario kept once in first-mention
+// order. "all" expands to the names given in all — each tool decides
+// what it covers — and is an unknown name when all is empty.
+func Pick(spec string, all ...string) ([]*Scenario, error) {
+	var names []string
+	for _, tok := range strings.Split(spec, ",") {
+		switch tok = strings.TrimSpace(tok); {
+		case tok == "":
+		case tok == "all" && len(all) > 0:
+			names = append(names, all...)
+		default:
+			names = append(names, tok)
+		}
+	}
+	builders := map[string]func() (*Scenario, error){
+		"1": Roof1, "2": Roof2, "3": Roof3, "residential": Residential, "res": Residential,
+	}
+	want := "1, 2, 3 or residential"
+	if len(all) > 0 {
+		want = "all, " + want
+	}
+	var out []*Scenario
+	seen := map[string]bool{}
+	for _, name := range names {
+		build, ok := builders[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown scenario %q (want %s)", name, want)
+		}
+		sc, err := build()
+		if err != nil {
+			return nil, err
+		}
+		if !seen[sc.Name] {
+			seen[sc.Name] = true
+			out = append(out, sc)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("no scenarios selected")
+	}
+	return out, nil
 }
 
 // calibrate pins the scenario's valid-cell count to the paper's

@@ -117,7 +117,7 @@ func TestResidentialScenario(t *testing.T) {
 		t.Errorf("residential Ng = %d, want chimney+dormer to cost 0-300 cells", ng)
 	}
 	// A 12-module home array must fit.
-	ev, err := sc.FieldFast(FastGrid())
+	ev, err := sc.FieldWith(FieldConfig{Grid: FastGrid(), Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func roofFields(t *testing.T) (map[string]*field.Evaluator, map[string]*field.Ce
 		fields = map[string]*field.Evaluator{}
 		statsMap = map[string]*field.CellStats{}
 		for _, sc := range rs {
-			ev, err := sc.FieldFast(FastGrid())
+			ev, err := sc.FieldWith(FieldConfig{Grid: FastGrid(), Fast: true})
 			if err != nil {
 				fieldErr = err
 				return
@@ -296,6 +296,53 @@ func TestTableIShape(t *testing.T) {
 				t.Errorf("%s N=%d: traditional %.3f MWh outside plausible band",
 					sc.Name, n, eC.NetMWh())
 			}
+		}
+	}
+}
+
+// TestPick pins every scenario spelling the command-line tools accept:
+// single names, the "res" alias, padded comma lists with blank
+// entries, first-mention order with duplicates dropped, and "all"
+// expanding to exactly what the caller lists (and unknown otherwise).
+func TestPick(t *testing.T) {
+	tableI := []string{"1", "2", "3"}
+	for _, c := range []struct {
+		spec string
+		all  []string
+		want []string
+	}{
+		{"1", nil, []string{"Roof 1"}},
+		{"residential", nil, []string{"Residential"}},
+		{" res ", nil, []string{"Residential"}},
+		{"3,1,,3", nil, []string{"Roof 3", "Roof 1"}},
+		{"res,residential", nil, []string{"Residential"}},
+		{"all", tableI, []string{"Roof 1", "Roof 2", "Roof 3"}},
+		{"residential,all", tableI, []string{"Residential", "Roof 1", "Roof 2", "Roof 3"}},
+		{"all", append(tableI, "residential"), []string{"Roof 1", "Roof 2", "Roof 3", "Residential"}},
+	} {
+		scs, err := Pick(c.spec, c.all...)
+		if err != nil {
+			t.Fatalf("Pick(%q, %q): %v", c.spec, c.all, err)
+		}
+		var got []string
+		for _, sc := range scs {
+			got = append(got, sc.Name)
+		}
+		if len(got) != len(c.want) {
+			t.Fatalf("Pick(%q, %q) = %q, want %q", c.spec, c.all, got, c.want)
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Fatalf("Pick(%q, %q) = %q, want %q", c.spec, c.all, got, c.want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		spec string
+		all  []string
+	}{{"all", nil}, {"4", tableI}, {"", tableI}, {" , ", nil}, {"1;2", nil}} {
+		if _, err := Pick(c.spec, c.all...); err == nil {
+			t.Errorf("Pick(%q, %q) accepted", c.spec, c.all)
 		}
 	}
 }

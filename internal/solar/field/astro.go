@@ -3,6 +3,7 @@ package field
 import (
 	"sync"
 
+	"repro/internal/parallel"
 	"repro/internal/solar/clearsky"
 	"repro/internal/solar/sunpos"
 	"repro/internal/timegrid"
@@ -73,7 +74,7 @@ func astroTable(site sunpos.Site, tl [12]float64, grid *timegrid.Grid, esra *cle
 // calendar step.
 func computeAstro(site sunpos.Site, grid *timegrid.Grid, esra *clearsky.ESRA, workers int) []astroStep {
 	steps := make([]astroStep, grid.Len())
-	forChunks(len(steps), workers, func(lo, hi int) {
+	parallel.Chunks(len(steps), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := grid.At(i)
 			pos := sunpos.At(t, site)

@@ -13,7 +13,6 @@ import (
 
 // Artifact kinds in the persistent cache.
 const (
-	kindHorizon     = "horizon"
 	kindStats       = "stats"
 	kindTileHorizon = "tilehorizon"
 )
@@ -26,70 +25,63 @@ const statsVersion = "stats-v2-sector"
 
 // horizonMap returns the evaluator's horizon map: sliced out of
 // Config.SharedHorizon when the shared map covers the roof and was
-// built with the same resolved options, else from the artifact cache
-// when Config.Cache is set and holds a verified entry, otherwise
-// ray-marched via horizon.Build (and stored for the next process).
-// The fingerprint covers the DSM raster content, the roof region and
-// the horizon options, so any surface or parameter change recomputes.
-// The fingerprint is computed whenever a cache is configured — also on
-// the shared path — so the statistics cache key is identical whether
-// the horizon came from a slice, the cache, or a cold build.
-func horizonMap(cfg Config, roof geom.Rect) (m *horizon.Map, fp string, fromCache bool, err error) {
-	if cfg.Cache != nil {
-		o := cfg.Horizon
-		fp = fmt.Sprintf("horizon-v1|%s|%v|%d|%x|%x|%x|%x|%x",
-			cfg.Scene.Raster.ContentHash(), roof,
-			o.Sectors, o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM)
-	}
-	if sh := cfg.SharedHorizon; sh != nil && sh.Covers(roof) &&
-		sh.BuildOptions() == cfg.Horizon.Resolved(cfg.Scene.Raster.CellSize()) {
+// built with the same resolved options, otherwise the roof as a
+// one-region tile through TileHorizon — restored from Config.Cache
+// when it holds a verified entry, else ray-marched on Config.Workers
+// workers (and stored for the next process). The returned fingerprint
+// is the roof's tile fingerprint whenever a cache is configured — also
+// on the shared path — so the statistics cache key is identical
+// whether the horizon came from a slice, the cache, or a cold build.
+func horizonMap(cfg Config, roof geom.Rect) (*horizon.Map, string, bool, error) {
+	r, regions := cfg.Scene.Raster, []geom.Rect{roof}
+	opts := cfg.Horizon.Resolved(r.CellSize())
+	if sh := cfg.SharedHorizon; sh != nil && sh.Covers(roof) && sh.BuildOptions() == opts {
 		if m, err := sh.Slice(roof); err == nil {
+			var fp string
+			if cfg.Cache != nil {
+				fp = horizonFingerprint(r, regions, opts)
+			}
 			return m, fp, true, nil
 		}
 	}
-	if cfg.Cache == nil {
-		m, err = horizon.Build(cfg.Scene.Raster, roof, cfg.Horizon)
-		return m, "", false, err
-	}
-	var snap horizon.Snapshot
-	if cfg.Cache.Load(kindHorizon, fp, &snap) {
-		if m, err := horizon.FromSnapshot(snap); err == nil && m.Region() == roof {
-			return m, fp, true, nil
-		}
-		// Shape mismatch despite a verified envelope: fall through and
-		// recompute rather than trust it.
-	}
-	m, err = horizon.Build(cfg.Scene.Raster, roof, cfg.Horizon)
-	if err != nil {
-		return nil, fp, false, err
-	}
-	// A failed store only loses the warm start for the next process;
-	// the computation in hand is unaffected.
-	_ = cfg.Cache.Store(kindHorizon, fp, m.Snapshot())
-	return m, fp, false, nil
+	return tileHorizon(r, regions, cfg.Horizon, cfg.Workers, cfg.Cache)
 }
 
-// TileHorizon builds (or restores) the tile-level shared horizon map
-// covering every given region of the raster: the union of the regions
-// is ray-marched in one pass — each unique cell once, however many
-// regions overlap it — and the roof views district runs need are
-// sliced from the result (see horizon.Map.Slice), bit-identical to
-// per-roof builds. With a non-nil cache the whole tile map is stored
-// as a single artifact keyed by the raster content, the region list
-// and the resolved options, so a warm district run restores one entry
-// instead of ray-marching (or loading) one map per roof. workers
-// bounds the build concurrency (0 = one per CPU); the map is
-// bit-identical for every value. The returned flag reports a cache
-// hit.
-func TileHorizon(r *dsm.Raster, regions []geom.Rect, opts horizon.Options, workers int, cache *fieldcache.Cache) (*horizon.Map, bool, error) {
-	if cache == nil {
-		m, err := horizon.BuildRegions(r, regions, opts, workers)
-		return m, false, err
-	}
-	o := opts.Resolved(r.CellSize())
-	fp := fmt.Sprintf("tilehorizon-v1|%s|%v|%d|%x|%x|%x|%x|%x",
+// horizonFingerprint keys a horizon artifact: the DSM raster content,
+// the region list and the resolved march options, so any surface,
+// region or parameter change recomputes. A roof is keyed as the
+// one-region list.
+func horizonFingerprint(r *dsm.Raster, regions []geom.Rect, o horizon.Options) string {
+	return fmt.Sprintf("tilehorizon-v1|%s|%v|%d|%x|%x|%x|%x|%x",
 		r.ContentHash(), regions,
 		o.Sectors, o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM)
+}
+
+// TileHorizon builds (or restores) the horizon map covering every
+// given region of the raster: the union of the regions is ray-marched
+// in one horizon.BuildRegions pass — each unique cell once, however
+// many regions overlap it — and the roof views district runs need are
+// sliced from the result (see horizon.Map.Slice), bit-identical to
+// one-region builds. A single roof is the one-region case. With a
+// non-nil cache the whole map is stored as a single artifact keyed by
+// horizonFingerprint, so a warm run restores one entry instead of
+// ray-marching. workers bounds the build concurrency (0 = one per
+// CPU); the map is bit-identical for every value. The returned flag
+// reports a cache hit.
+func TileHorizon(r *dsm.Raster, regions []geom.Rect, opts horizon.Options, workers int, cache *fieldcache.Cache) (*horizon.Map, bool, error) {
+	m, _, hit, err := tileHorizon(r, regions, opts, workers, cache)
+	return m, hit, err
+}
+
+// tileHorizon is TileHorizon also returning the artifact fingerprint
+// ("" without a cache), which horizonMap folds into the statistics key.
+func tileHorizon(r *dsm.Raster, regions []geom.Rect, opts horizon.Options, workers int, cache *fieldcache.Cache) (*horizon.Map, string, bool, error) {
+	if cache == nil {
+		m, err := horizon.BuildRegions(r, regions, opts, workers)
+		return m, "", false, err
+	}
+	o := opts.Resolved(r.CellSize())
+	fp := horizonFingerprint(r, regions, o)
 	var bbox geom.Rect
 	for i, reg := range regions {
 		if i == 0 {
@@ -101,17 +93,21 @@ func TileHorizon(r *dsm.Raster, regions []geom.Rect, opts horizon.Options, worke
 	var snap horizon.Snapshot
 	if cache.Load(kindTileHorizon, fp, &snap) {
 		// The snapshot format does not carry options, but the
-		// fingerprint proves this entry was built with exactly o.
-		if m, err := horizon.FromSnapshotBuilt(snap, o); err == nil && m.Region() == bbox {
-			return m, true, nil
+		// fingerprint proves this entry was built with exactly o. A
+		// shape mismatch despite a verified envelope falls through and
+		// recomputes rather than trust it.
+		if m, err := horizon.FromSnapshot(snap, o); err == nil && m.Region() == bbox {
+			return m, fp, true, nil
 		}
 	}
 	m, err := horizon.BuildRegions(r, regions, opts, workers)
 	if err != nil {
-		return nil, false, err
+		return nil, fp, false, err
 	}
+	// A failed store only loses the warm start for the next process;
+	// the computation in hand is unaffected.
 	_ = cache.Store(kindTileHorizon, fp, m.Snapshot())
-	return m, false, nil
+	return m, fp, false, nil
 }
 
 // statsFingerprint composes the statistics cache key prefix for the

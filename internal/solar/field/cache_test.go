@@ -239,7 +239,7 @@ func TestTileHorizonArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := horizon.Build(scene.Raster, roof, opts)
+	direct, err := horizon.BuildRegions(scene.Raster, []geom.Rect{roof}, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,8 @@
 // # Concurrency
 //
 // The engine is parallel by default and deterministic by
-// construction. Config.Workers bounds the worker pool used for the
+// construction. Config.Workers bounds the worker pool
+// (internal/parallel) used for the per-roof horizon march, the
 // per-timestep sky precompute and the per-cell statistics pass:
 // 0 selects runtime.GOMAXPROCS(0), 1 runs the fully serial reference
 // path (no goroutines), and any value produces bit-identical results
@@ -80,6 +81,7 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/fieldcache"
 	"repro/internal/geom"
+	"repro/internal/parallel"
 	"repro/internal/solar/clearsky"
 	"repro/internal/solar/decomp"
 	"repro/internal/solar/horizon"
@@ -135,19 +137,22 @@ type Config struct {
 	// at least the roof region — typically the tile-level map a
 	// district run builds once and shares across every roof. New slices
 	// the roof's view out of it instead of ray-marching, provided the
-	// map covers Scene.RoofRect and its recorded build options match
-	// the resolved Horizon options; otherwise it silently falls back to
-	// the per-roof build. The sliced view is bit-identical to a direct
-	// build (each cell's horizon depends only on the raster and the
-	// cell), so results are unchanged either way.
+	// map covers Scene.RoofRect and its recorded build options
+	// (horizon.Map.BuildOptions) equal the resolved Horizon options;
+	// otherwise it silently falls back to building the roof as a
+	// one-region tile (TileHorizon). The sliced view is bit-identical to
+	// that build (each cell's horizon depends only on the raster and
+	// the cell), so results are unchanged either way.
 	SharedHorizon *horizon.Map
-	// Workers bounds the concurrency of evaluator construction and
-	// the statistics pass: 0 = runtime.GOMAXPROCS(0), 1 = serial
-	// reference path. Results are bit-identical for every setting;
-	// see the package documentation.
+	// Workers bounds the concurrency of evaluator construction — the
+	// roof's horizon march and the sky precompute — and of the
+	// statistics pass: 0 = runtime.GOMAXPROCS(0), 1 = serial reference
+	// path. Results are bit-identical for every setting; see the
+	// package documentation.
 	Workers int
-	// Cache, when non-nil, is the persistent artifact cache: horizon
-	// maps and per-cell statistics are looked up by composite
+	// Cache, when non-nil, is the persistent artifact cache: the roof's
+	// horizon map (one "tilehorizon" artifact, keyed like a one-region
+	// TileHorizon) and per-cell statistics are looked up by composite
 	// fingerprint before being computed, and stored after. Cached
 	// artifacts are bit-identical to cold computation. Statistics
 	// caching additionally requires the Weather provider to implement
@@ -283,7 +288,7 @@ func (e *Evaluator) precomputeSky() {
 	astro := astroTable(e.cfg.Site, e.cfg.MonthlyTL, e.cfg.Grid, e.esra, e.cfg.Workers)
 	n := e.cfg.Grid.Len()
 	e.sky = make([]skyState, n)
-	forChunks(n, e.cfg.Workers, func(lo, hi int) {
+	parallel.Chunks(n, e.cfg.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e.sky[i] = e.skyFromAstro(e.cfg.Grid.At(i), astro[i])
 		}
@@ -524,7 +529,7 @@ func (e *Evaluator) statsPercentile(pct float64, workers int) (*CellStats, error
 		return cs, err
 	}
 	statsPassCount.Add(1)
-	forChunks(len(e.suitIdx), workers, func(lo, hi int) {
+	parallel.Chunks(len(e.suitIdx), workers, func(lo, hi int) {
 		scratch := scratchPool.Get().(*statsScratch)
 		e.statsSectorChunk(cs, e.suitIdx[lo:hi], scratch)
 		scratchPool.Put(scratch)

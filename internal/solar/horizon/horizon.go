@@ -10,12 +10,11 @@ package horizon
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dsm"
 	"repro/internal/geom"
+	"repro/internal/parallel"
 )
 
 // Options tunes horizon-map construction.
@@ -39,7 +38,8 @@ type Options struct {
 }
 
 // Resolved returns the options with all defaults applied for the
-// given raster cell size — the exact parameter set Build marches with.
+// given raster cell size — the exact parameter set BuildRegions
+// marches with.
 // Callers that need to compare two option values for build
 // equivalence (e.g. deciding whether a shared tile-level map can
 // stand in for a per-roof build) must compare resolved values, since
@@ -87,7 +87,7 @@ type Map struct {
 	region  geom.Rect
 	sectors int
 	// opts records the resolved build options the map was ray-marched
-	// with (zero value when unknown, e.g. restored via FromSnapshot).
+	// with (supplied by the caller for maps restored via FromSnapshot).
 	// Kept in memory only: Snapshot stays gob-compatible with artifacts
 	// written by older binaries.
 	opts Options
@@ -98,46 +98,15 @@ type Map struct {
 	svf []float32 // per-cell sky view factor
 }
 
-// buildCount tallies ray-marched Build executions process-wide; cache
-// tests use it to assert that warm runs construct no horizon maps.
+// buildCount tallies ray-marched BuildRegions executions
+// process-wide; cache tests use it to assert that warm runs construct
+// no horizon maps.
 var buildCount atomic.Uint64
 
-// BuildCount reports how many times Build has ray-marched a horizon
-// map in this process. Maps restored from snapshots (the persistent
-// artifact cache) do not count.
+// BuildCount reports how many times BuildRegions has ray-marched a
+// horizon map in this process. Maps restored from snapshots (the
+// persistent artifact cache) and views cut with Slice do not count.
 func BuildCount() uint64 { return buildCount.Load() }
-
-// Build computes the horizon map for every cell of region (given in
-// raster coordinates) of the DSM.
-func Build(r *dsm.Raster, region geom.Rect, opts Options) (*Map, error) {
-	opts = opts.withDefaults(r.CellSize())
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	buildCount.Add(1)
-	clipped := region.Intersect(r.Bounds())
-	if clipped != region {
-		return nil, fmt.Errorf("horizon: region %v exceeds raster bounds %v", region, r.Bounds())
-	}
-	m := &Map{
-		region:  region,
-		sectors: opts.Sectors,
-		opts:    opts,
-		tan:     make([]float32, region.Area()*opts.Sectors),
-		svf:     make([]float32, region.Area()),
-	}
-
-	dirX, dirY := sectorDirs(opts.Sectors)
-	idx := 0
-	for y := region.Y0; y < region.Y1; y++ {
-		for x := region.X0; x < region.X1; x++ {
-			m.svf[idx] = marchCell(r, geom.Cell{X: x, Y: y}, dirX, dirY, opts,
-				m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
-			idx++
-		}
-	}
-	return m, nil
-}
 
 // sectorDirs precomputes the sector plan directions (east, south) —
 // raster y grows southward.
@@ -169,18 +138,21 @@ func marchCell(r *dsm.Raster, cell geom.Cell, dirX, dirY []float64, opts Options
 	return float32(svfSum / float64(len(dirX)))
 }
 
-// BuildRegions computes one horizon map whose region is the bounding
-// rectangle of the given regions, ray-marching only the cells covered
-// by at least one region — each unique cell exactly once, however many
-// regions overlap it. Cells of the bounding rectangle outside every
-// region are left at zero (fully open horizon) and must not be read:
-// Slice out one of the requested regions instead. This is the
-// tile-level build district runs share across roofs; it counts as a
-// single Build in BuildCount.
+// BuildRegions is the horizon builder: it computes one map whose
+// region is the bounding rectangle of the given regions (in raster
+// coordinates), ray-marching only the cells covered by at least one
+// region — each unique cell exactly once, however many regions overlap
+// it. A single roof is the one-region case, whose map covers exactly
+// that roof. Cells of the bounding rectangle outside every region are
+// left at zero (fully open horizon) and must not be read: Slice out one
+// of the requested regions instead. Each call counts once in
+// BuildCount, whatever the number of regions.
 //
 // workers bounds the construction concurrency (0 = one per CPU,
-// 1 = serial). Cells are marched independently into disjoint storage,
-// so the result is bit-identical for every worker count.
+// 1 = serial); the covered cells are split into ceil(n/workers)-cell
+// chunks by parallel.Chunks. Cells are marched independently into
+// disjoint storage, so the result is bit-identical for every worker
+// count.
 func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int) (*Map, error) {
 	opts = opts.withDefaults(r.CellSize())
 	if err := opts.validate(); err != nil {
@@ -219,38 +191,14 @@ func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int)
 	covered.ForEachSet(func(c geom.Cell) {
 		cells = append(cells, geom.Cell{X: c.X + bbox.X0, Y: c.Y + bbox.Y0})
 	})
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	march := func(lo, hi int) {
+	parallel.Chunks(len(cells), workers, func(lo, hi int) {
 		dirX, dirY := sectorDirs(opts.Sectors)
 		for _, c := range cells[lo:hi] {
 			idx := (c.Y-bbox.Y0)*w + (c.X - bbox.X0)
 			m.svf[idx] = marchCell(r, c, dirX, dirY, opts,
 				m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
 		}
-	}
-	if workers <= 1 {
-		march(0, len(cells))
-		return m, nil
-	}
-	var wg sync.WaitGroup
-	chunk := (len(cells) + workers - 1) / workers
-	for lo := 0; lo < len(cells); lo += chunk {
-		hi := lo + chunk
-		if hi > len(cells) {
-			hi = len(cells)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			march(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return m, nil
 }
 
@@ -260,12 +208,13 @@ func (m *Map) Covers(sub geom.Rect) bool {
 }
 
 // Slice copies the sub-rectangle's horizon data out of the map as a
-// standalone Map over sub. Because each cell's horizon depends only on
-// the raster and the cell itself, the slice is bit-identical to a
-// direct Build over sub with the same options — provided every cell of
-// sub was actually marched (for maps from BuildRegions, sub must lie
-// inside one of the requested regions, or a union of them). Slicing
-// never ray-marches and does not count in BuildCount.
+// standalone Map over sub, carrying the source map's build options.
+// Because each cell's horizon depends only on the raster and the cell
+// itself, the slice is bit-identical to a one-region BuildRegions over
+// sub with the same options — provided every cell of sub was actually
+// marched: sub must lie inside one of the requested regions, or a
+// union of them. Slicing never ray-marches and does not count in
+// BuildCount.
 func (m *Map) Slice(sub geom.Rect) (*Map, error) {
 	if !m.Covers(sub) {
 		return nil, fmt.Errorf("horizon: slice %v outside map region %v", sub, m.region)
@@ -288,8 +237,8 @@ func (m *Map) Slice(sub geom.Rect) (*Map, error) {
 }
 
 // BuildOptions returns the resolved options the map was ray-marched
-// with, or the zero Options when unknown (maps restored with
-// FromSnapshot — the on-disk snapshot format does not carry options).
+// with. A map restored with FromSnapshot reports the options its
+// caller supplied, since the snapshot format does not carry them.
 func (m *Map) BuildOptions() Options { return m.opts }
 
 // marchSector walks outward from (x0,y0,z0) along the plan direction
@@ -402,28 +351,16 @@ func (m *Map) Snapshot() Snapshot {
 	return s
 }
 
-// FromSnapshotBuilt is FromSnapshot for callers that know — typically
-// from the cache fingerprint the snapshot was stored under — which
-// resolved options the snapshotted map was built with: the restored
-// map reports them via BuildOptions, so it can serve as a shared
-// horizon source (see Map.Slice). The caller's claim is trusted;
-// passing options the map was not actually built with produces a map
-// that misreports its provenance.
-func FromSnapshotBuilt(s Snapshot, built Options) (*Map, error) {
-	m, err := FromSnapshot(s)
-	if err != nil {
-		return nil, err
-	}
-	m.opts = built
-	return m, nil
-}
-
 // FromSnapshot reconstructs a Map from a Snapshot, validating the
 // shape invariants (a truncated or corrupted snapshot is rejected, not
 // trusted). The restored map is bit-identical to the one Snapshot was
-// taken from. The build options are unknown (zero — see BuildOptions);
-// use FromSnapshotBuilt when they are.
-func FromSnapshot(s Snapshot) (*Map, error) {
+// taken from. The snapshot does not carry build options, so the caller
+// supplies the resolved options the map was built with — typically
+// proven by the cache fingerprint the snapshot was stored under — and
+// BuildOptions reports them. The claim is trusted: passing options the
+// map was not built with produces a map that misreports its
+// provenance.
+func FromSnapshot(s Snapshot, built Options) (*Map, error) {
 	area := s.Region.Area()
 	if s.Sectors < 4 || area <= 0 {
 		return nil, fmt.Errorf("horizon: invalid snapshot shape: region %v, %d sectors", s.Region, s.Sectors)
@@ -435,6 +372,7 @@ func FromSnapshot(s Snapshot) (*Map, error) {
 	m := &Map{
 		region:  s.Region,
 		sectors: s.Sectors,
+		opts:    built,
 		tan:     make([]float32, len(s.Tan)),
 		svf:     make([]float32, len(s.SVF)),
 	}

@@ -11,6 +11,12 @@ import (
 
 // flatRasterWithWall builds a 40x40 flat raster (cell 0.2 m) with a
 // 5 m tall wall along columns x=30..31 (east side).
+// build is the one-region BuildRegions a roof's map comes from,
+// marched serially.
+func build(r *dsm.Raster, region geom.Rect, opts Options) (*Map, error) {
+	return BuildRegions(r, []geom.Rect{region}, opts, 1)
+}
+
 func flatRasterWithWall(t *testing.T) *dsm.Raster {
 	t.Helper()
 	r, err := dsm.NewRaster(40, 40, 0.2)
@@ -23,13 +29,13 @@ func flatRasterWithWall(t *testing.T) *dsm.Raster {
 
 func TestBuildValidation(t *testing.T) {
 	r := flatRasterWithWall(t)
-	if _, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 10}, Options{}); err == nil {
+	if _, err := build(r, geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 10}, Options{}); err == nil {
 		t.Error("region outside raster must be rejected")
 	}
-	if _, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, Options{Sectors: 2}); err == nil {
+	if _, err := build(r, geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, Options{Sectors: 2}); err == nil {
 		t.Error("too few sectors must be rejected")
 	}
-	if _, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, Options{FarStepM: -1}); err == nil {
+	if _, err := build(r, geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, Options{FarStepM: -1}); err == nil {
 		t.Error("negative step must be rejected")
 	}
 }
@@ -37,7 +43,7 @@ func TestBuildValidation(t *testing.T) {
 func TestWallHorizonGeometry(t *testing.T) {
 	r := flatRasterWithWall(t)
 	region := geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}
-	m, err := Build(r, region, Options{Sectors: 64})
+	m, err := build(r, region, Options{Sectors: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func TestShadowDistanceFalloff(t *testing.T) {
 	// Cells farther from the wall see a lower horizon.
 	r := flatRasterWithWall(t)
 	region := geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}
-	m, err := Build(r, region, Options{})
+	m, err := build(r, region, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +99,7 @@ func TestShadowDistanceFalloff(t *testing.T) {
 func TestSVFBehaviour(t *testing.T) {
 	r := flatRasterWithWall(t)
 	region := geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}
-	m, err := Build(r, region, Options{})
+	m, err := build(r, region, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +122,7 @@ func TestOpenFlatFieldUnshadowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(r, geom.Rect{X0: 5, Y0: 5, X1: 25, Y1: 25}, Options{})
+	m, err := build(r, geom.Rect{X0: 5, Y0: 5, X1: 25, Y1: 25}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +151,7 @@ func TestTiltedPlaneSelfHorizon(t *testing.T) {
 			r.Set(geom.Cell{X: x, Y: y}, 20-tan26*0.2*float64(y))
 		}
 	}
-	m, err := Build(r, geom.Rect{X0: 20, Y0: 20, X1: 40, Y1: 40}, Options{})
+	m, err := build(r, geom.Rect{X0: 20, Y0: 20, X1: 40, Y1: 40}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +168,7 @@ func TestTiltedPlaneSelfHorizon(t *testing.T) {
 
 func TestSectorQuantisation(t *testing.T) {
 	r := flatRasterWithWall(t)
-	m, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, Options{Sectors: 8})
+	m, err := build(r, geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}, Options{Sectors: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ func TestSectorQuantisation(t *testing.T) {
 func TestShadowedIdxAgreesWithShadowed(t *testing.T) {
 	r := flatRasterWithWall(t)
 	region := geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}
-	m, err := Build(r, region, Options{})
+	m, err := build(r, region, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +223,7 @@ func TestThinPipeResolvedInNearField(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetRectTo(geom.Rect{X0: 40, Y0: 0, X1: 42, Y1: 60}, 0.6)
-	m, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 40, Y1: 60}, Options{})
+	m, err := build(r, geom.Rect{X0: 0, Y0: 0, X1: 40, Y1: 60}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +238,7 @@ func TestThinPipeResolvedInNearField(t *testing.T) {
 func TestShadowMaskSnapshot(t *testing.T) {
 	r := flatRasterWithWall(t)
 	region := geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}
-	m, err := Build(r, region, Options{})
+	m, err := build(r, region, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +277,7 @@ func TestShadowMonotoneInElevationProperty(t *testing.T) {
 	// If a cell is lit at elevation e, it stays lit at any higher
 	// elevation (same azimuth) — the fundamental horizon invariant.
 	r := flatRasterWithWall(t)
-	m, err := Build(r, geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}, Options{})
+	m, err := build(r, geom.Rect{X0: 0, Y0: 0, X1: 30, Y1: 40}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,15 +316,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r := flatRaster(t, 40, 30)
 	r.MaxAbove(geom.Rect{X0: 20, Y0: 10, X1: 23, Y1: 13}, 4)
 	region := geom.Rect{X0: 4, Y0: 4, X1: 36, Y1: 26}
-	m, err := Build(r, region, Options{Sectors: 16, MaxDistanceM: 10})
+	m, err := build(r, region, Options{Sectors: 16, MaxDistanceM: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromSnapshot(m.Snapshot())
+	got, err := FromSnapshot(m.Snapshot(), m.BuildOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sectors() != m.Sectors() || got.Region() != m.Region() {
+	if got.Sectors() != m.Sectors() || got.Region() != m.Region() || got.BuildOptions() != m.BuildOptions() {
 		t.Fatalf("restored shape %d/%v, want %d/%v", got.Sectors(), got.Region(), m.Sectors(), m.Region())
 	}
 	for idx := 0; idx < region.Area(); idx++ {
@@ -338,7 +344,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestFromSnapshotRejectsMangledShapes(t *testing.T) {
 	r := flatRaster(t, 20, 20)
 	region := geom.Rect{X0: 2, Y0: 2, X1: 18, Y1: 18}
-	m, err := Build(r, region, Options{Sectors: 8, MaxDistanceM: 5})
+	m, err := build(r, region, Options{Sectors: 8, MaxDistanceM: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,20 +356,21 @@ func TestFromSnapshotRejectsMangledShapes(t *testing.T) {
 		func(s Snapshot) Snapshot { s.Region = geom.Rect{}; return s },
 		func(s Snapshot) Snapshot { s.Sectors = 16; return s },
 	} {
-		if _, err := FromSnapshot(mangle(good)); err == nil {
+		if _, err := FromSnapshot(mangle(good), m.BuildOptions()); err == nil {
 			t.Error("mangled snapshot must be rejected")
 		}
 	}
-	if _, err := FromSnapshot(good); err != nil {
+	if _, err := FromSnapshot(good, m.BuildOptions()); err != nil {
 		t.Errorf("pristine snapshot rejected: %v", err)
 	}
 }
 
 // TestBuildRegionsSliceMatchesBuild pins the tentpole equivalence at
 // the lowest level: a per-roof view sliced out of a tile-level
-// BuildRegions map must be bit-identical to a direct Build over the
-// same rect — for disjoint regions, overlapping regions, and
-// sub-rects of a region — while ray-marching only once.
+// BuildRegions map must be bit-identical to a direct one-region
+// BuildRegions over the same rect (the per-roof path) — for disjoint
+// regions, overlapping regions, and sub-rects of a region — while
+// ray-marching only once.
 func TestBuildRegionsSliceMatchesBuild(t *testing.T) {
 	r := flatRasterWithWall(t)
 	r.MaxAbove(geom.Rect{X0: 8, Y0: 30, X1: 11, Y1: 33}, 3)
@@ -392,7 +399,7 @@ func TestBuildRegionsSliceMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := Build(r, reg, opts)
+		direct, err := BuildRegions(r, []geom.Rect{reg}, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,7 +475,7 @@ func TestBuildRegionsValidation(t *testing.T) {
 
 func TestSliceValidation(t *testing.T) {
 	r := flatRaster(t, 20, 20)
-	m, err := Build(r, geom.Rect{X0: 4, Y0: 4, X1: 16, Y1: 16}, Options{Sectors: 8, MaxDistanceM: 3})
+	m, err := build(r, geom.Rect{X0: 4, Y0: 4, X1: 16, Y1: 16}, Options{Sectors: 8, MaxDistanceM: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +497,8 @@ func TestSliceValidation(t *testing.T) {
 }
 
 // TestBuildOptionsProvenance: maps remember the resolved options they
-// were marched with; snapshot restores lose them unless the caller
-// re-supplies them via FromSnapshotBuilt.
+// were marched with; slices inherit them and snapshot restores record
+// the options their caller supplies.
 func TestBuildOptionsProvenance(t *testing.T) {
 	r := flatRaster(t, 20, 20)
 	opts := Options{Sectors: 8, MaxDistanceM: 3}
@@ -499,7 +506,7 @@ func TestBuildOptionsProvenance(t *testing.T) {
 	if resolved.NearStepM != r.CellSize()/2 || resolved.EyeHeightM != 0.05 {
 		t.Fatalf("Resolved did not apply defaults: %+v", resolved)
 	}
-	m, err := Build(r, geom.Rect{X0: 2, Y0: 2, X1: 18, Y1: 18}, opts)
+	m, err := build(r, geom.Rect{X0: 2, Y0: 2, X1: 18, Y1: 18}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,19 +520,12 @@ func TestBuildOptionsProvenance(t *testing.T) {
 	if view.BuildOptions() != resolved {
 		t.Error("slice must inherit the source map's build options")
 	}
-	plain, err := FromSnapshot(m.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.BuildOptions() != (Options{}) {
-		t.Error("FromSnapshot must leave build options unknown")
-	}
-	known, err := FromSnapshotBuilt(m.Snapshot(), resolved)
+	known, err := FromSnapshot(m.Snapshot(), resolved)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if known.BuildOptions() != resolved {
-		t.Error("FromSnapshotBuilt must record the supplied options")
+		t.Error("FromSnapshot must record the supplied options")
 	}
 }
 
@@ -535,7 +535,7 @@ func TestTanRowMatchesHorizonTan(t *testing.T) {
 	r := flatRaster(t, 30, 30)
 	r.MaxAbove(geom.Rect{X0: 14, Y0: 14, X1: 16, Y1: 16}, 6)
 	region := geom.Rect{X0: 2, Y0: 2, X1: 28, Y1: 28}
-	m, err := Build(r, region, Options{Sectors: 32, MaxDistanceM: 8})
+	m, err := build(r, region, Options{Sectors: 32, MaxDistanceM: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestWindowBuildMatchesMonolithic(t *testing.T) {
 		}
 	}
 
-	mono, err := Build(full, region, opts)
+	mono, err := build(full, region, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWindowBuildMatchesMonolithic(t *testing.T) {
 		X0: region.X0 - window.X0, Y0: region.Y0 - window.Y0,
 		X1: region.X1 - window.X0, Y1: region.Y1 - window.Y0,
 	}
-	windowed, err := Build(win, local, opts)
+	windowed, err := build(win, local, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWindowBuildMatchesMonolithic(t *testing.T) {
 	// floats — this is the failure mode the origin field exists for.
 	bare := win.Clone()
 	bare.SetOrigin(geom.Cell{})
-	shifted, err := Build(bare, local, opts)
+	shifted, err := build(bare, local, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

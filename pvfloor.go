@@ -179,6 +179,18 @@ func (cfg Config) effectiveGrid() *timegrid.Grid {
 	return scenario.FastGrid()
 }
 
+// buildField builds the config's solar field — its calendar, horizon
+// fidelity and cache — on the given number of workers. Run, the batch
+// runner and the district retry differ only in the worker count.
+func (cfg Config) buildField(workers int) (*field.Evaluator, error) {
+	return cfg.Scenario.FieldWith(scenario.FieldConfig{
+		Grid:    cfg.effectiveGrid(),
+		Fast:    cfg.Fidelity != Full,
+		Workers: workers,
+		Cache:   cfg.Cache,
+	})
+}
+
 // Result carries every artifact of a pipeline run.
 type Result struct {
 	// Scenario echoes the input.
@@ -251,12 +263,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Optimizer.Validate(); err != nil {
 		return nil, err
 	}
-	ev, err := cfg.Scenario.FieldWith(scenario.FieldConfig{
-		Grid:    cfg.effectiveGrid(),
-		Fast:    cfg.Fidelity != Full,
-		Workers: cfg.Workers,
-		Cache:   cfg.Cache,
-	})
+	ev, err := cfg.buildField(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -172,7 +172,7 @@ func TestRunWithFieldReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := sc.FieldFast(scenario.FastGrid())
+	ev, err := sc.FieldWith(scenario.FieldConfig{Grid: scenario.FastGrid(), Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}
