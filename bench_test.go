@@ -754,6 +754,26 @@ func BenchmarkHorizonBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkHorizonBuildFull measures the march at full fidelity — the
+// resolved default options, 64 sectors out to 80 m — over a raster
+// window with a non-zero origin, the shape every city tile marches:
+// Roof 1's scene placed at global cell (1350, 270), marched serially.
+// ns/ray divides the time by the cells × sectors marched.
+func BenchmarkHorizonBuildFull(b *testing.B) {
+	b.ReportAllocs()
+	sc := roofStates(b)[0].sc.Scene
+	window := sc.Raster.Clone()
+	window.SetOrigin(geom.Cell{X: 1350, Y: 270})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := horizon.BuildRegions(window, []geom.Rect{sc.RoofRect}, horizon.Options{}, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rays := sc.RoofRect.Area() * horizon.Options{}.Resolved(window.CellSize()).Sectors
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rays), "ns/ray")
+}
+
 // BenchmarkEvaluatePlacement measures the topology-aware energy
 // evaluation of one N=32 placement (the inner loop of every
 // experiment).

@@ -13,6 +13,7 @@ func TestNewRasterValidation(t *testing.T) {
 		cell float64
 	}{
 		{0, 10, 0.2}, {10, 0, 0.2}, {-1, 10, 0.2}, {10, 10, 0}, {10, 10, -0.5},
+		{10, 10, math.NaN()}, {10, 10, math.Inf(1)}, {10, 10, math.Inf(-1)},
 	}
 	for _, c := range cases {
 		if _, err := NewRaster(c.w, c.h, c.cell); err == nil {
@@ -58,6 +59,14 @@ func TestAtMetresNearestSampling(t *testing.T) {
 	if got := r.AtMetres(-5, -5); got != 0 {
 		t.Errorf("AtMetres outside raster = %g", got)
 	}
+	if c := r.CellAtMetres(0.7, 0.9); c != (geom.Cell{X: 3, Y: 4}) {
+		t.Errorf("CellAtMetres inside cell = %v", c)
+	}
+	r.SetOrigin(geom.Cell{X: 2, Y: -1})
+	if c := r.CellAtMetres(-5, 0.9); c != (geom.Cell{X: -27, Y: 5}) {
+		t.Errorf("CellAtMetres on a window outside the raster = %v", c)
+	}
+	r.SetOrigin(geom.Cell{})
 	xm, ym := r.CellCenterMetres(geom.Cell{X: 3, Y: 4})
 	if math.Abs(xm-0.7) > 1e-12 || math.Abs(ym-0.9) > 1e-12 {
 		t.Errorf("CellCenterMetres = (%g,%g)", xm, ym)

@@ -38,13 +38,14 @@ type Raster struct {
 }
 
 // NewRaster allocates a w×h raster with the given cell size in
-// metres, initialised to elevation zero.
+// metres, initialised to elevation zero. The cell size must be
+// positive and finite.
 func NewRaster(w, h int, cellSize float64) (*Raster, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("dsm: non-positive raster dims %dx%d", w, h)
 	}
-	if cellSize <= 0 {
-		return nil, fmt.Errorf("dsm: non-positive cell size %g", cellSize)
+	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
+		return nil, fmt.Errorf("dsm: cell size %g is not a positive finite number", cellSize)
 	}
 	return &Raster{w: w, h: h, cellSize: cellSize, z: make([]float64, w*h)}, nil
 }
@@ -99,9 +100,17 @@ func (r *Raster) Set(c geom.Cell, z float64) {
 // cell space and the window origin is subtracted as an integer, so a
 // window and the full grid resolve any xm, ym to the same cell.
 func (r *Raster) AtMetres(xm, ym float64) float64 {
-	x := int(math.Floor(xm/r.cellSize)) - r.origin.X
-	y := int(math.Floor(ym/r.cellSize)) - r.origin.Y
-	return r.At(geom.Cell{X: x, Y: y})
+	return r.At(r.CellAtMetres(xm, ym))
+}
+
+// CellAtMetres returns the local cell AtMetres samples at the plan
+// position (xm, ym); it may lie outside the raster, where AtMetres
+// reads 0.
+func (r *Raster) CellAtMetres(xm, ym float64) geom.Cell {
+	return geom.Cell{
+		X: int(math.Floor(xm/r.cellSize)) - r.origin.X,
+		Y: int(math.Floor(ym/r.cellSize)) - r.origin.Y,
+	}
 }
 
 // CellCenterMetres returns the plan position of the cell center in

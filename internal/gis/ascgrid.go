@@ -44,14 +44,18 @@ func isNumeric(s string) bool {
 }
 
 // setHeaderField parses one "key value" header line into g, recording
-// the key in seen. The dimensions must be whole numbers no larger
-// than math.MaxInt32: they size every later allocation, so a header
-// that rounds or overflows is rejected rather than trusted.
+// the key in seen. Every value must be finite. The dimensions must be
+// whole numbers no larger than math.MaxInt32: they size every later
+// allocation, so a header that rounds or overflows is rejected rather
+// than trusted.
 func (g *AscGrid) setHeaderField(rawKey, rawVal string, seen map[string]bool) error {
 	key := strings.ToLower(rawKey)
 	val, err := strconv.ParseFloat(rawVal, 64)
 	if err != nil {
 		return fmt.Errorf("gis: header %s: bad value %q: %w", key, rawVal, err)
+	}
+	if math.IsNaN(val) || math.IsInf(val, 0) {
+		return fmt.Errorf("gis: header %s: %q is not a finite number", key, rawVal)
 	}
 	if (key == "ncols" || key == "nrows") && (val != math.Trunc(val) || math.Abs(val) > math.MaxInt32) {
 		return fmt.Errorf("gis: header %s: %q is not a whole number up to %d", key, rawVal, math.MaxInt32)

@@ -76,6 +76,39 @@ func TestReadAscErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteValues: the decoder rejects infinite heights (an
+// unmarked ±Inf cell would give every cell within shadow reach an
+// infinite horizon) and non-finite header values, naming the offending
+// cell or key, while NaN heights stay NODATA like the sentinel.
+func TestNonFiniteValues(t *testing.T) {
+	const head = "ncols 2\nnrows 2\ncellsize 0.2\nNODATA_value -9999\n"
+	for _, tc := range []struct{ name, asc, errHas string }{
+		{"+Inf height", head + "1 2\n3 inf\n", "row 1 col 1"},
+		{"-Infinity height", head + "-Infinity 2\n3 4\n", "row 0 col 0"},
+		{"+Inf height, first row", head + "1 +Inf\n3 4\n", "row 0 col 1"},
+		{"NaN cellsize", "ncols 1\nnrows 1\ncellsize nan\n5\n", "cellsize"},
+		{"Inf cellsize", "ncols 1\nnrows 1\ncellsize inf\n5\n", "cellsize"},
+		{"NaN xllcorner", "ncols 1\nnrows 1\ncellsize 1\nxllcorner NaN\n5\n", "xllcorner"},
+		{"-Inf yllcenter", "ncols 1\nnrows 1\ncellsize 1\nyllcenter -inf\n5\n", "yllcenter"},
+		{"NaN NODATA", "ncols 1\nnrows 1\ncellsize 1\nNODATA_value nan\n5\n", "nodata_value"},
+		{"Inf ncols", "ncols inf\nnrows 1\ncellsize 1\n5\n", "ncols"},
+	} {
+		_, _, err := LoadRaster(strings.NewReader(tc.asc))
+		if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("%s: err %v, want one naming %q", tc.name, err, tc.errHas)
+		}
+	}
+	r, mask, err := LoadRaster(strings.NewReader(head + "1 NaN\nnan 4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []geom.Cell{{X: 1, Y: 0}, {X: 0, Y: 1}} {
+		if mask == nil || !mask.Get(c) || r.At(c) != 0 {
+			t.Errorf("NaN cell %v: height %g, masked %v; want NODATA at the datum 0", c, r.At(c), mask != nil && mask.Get(c))
+		}
+	}
+}
+
 // hugeHeader claims a two-billion-column row but carries one value:
 // the decoder must reject it from the line length alone, before
 // allocating anything sized by the header.

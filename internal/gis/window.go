@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -377,6 +378,9 @@ func (w *WindowedReader) decodeBlock(bi int) (*block, error) {
 			v, err := strconv.ParseFloat(tok, 64)
 			if err != nil {
 				return nil, fmt.Errorf("gis: row %d col %d: %q: %w", row, x, tok, err)
+			}
+			if math.IsInf(v, 0) {
+				return nil, fmt.Errorf("gis: row %d col %d: %q: non-finite height", row, x, tok)
 			}
 			if v == w.hdr.NoData || v != v { // NoData sentinel or NaN
 				if b.nodata == nil {

@@ -103,6 +103,34 @@ func TestTileUploadAPI(t *testing.T) {
 	}
 }
 
+// TestTileUploadRejectsNonFinite: a grid with a non-finite cell size or
+// an infinite height is a 400 naming the key or the cell, and nothing
+// is stored. Such a grid used to load, and one +Inf cell gave every
+// cell within shadow reach an infinite horizon.
+func TestTileUploadRejectsNonFinite(t *testing.T) {
+	s := newTestServer(t, Options{TilesDir: t.TempDir()})
+	for _, tc := range []struct{ body, msgHas string }{
+		{"ncols 2\nnrows 1\ncellsize nan\n1 2\n", "cellsize"},
+		{"ncols 2\nnrows 1\ncellsize inf\n1 2\n", "cellsize"},
+		{"ncols 2\nnrows 2\ncellsize 0.2\n1 2\n3 inf\n", "row 1 col 1"},
+		{"ncols 2\nnrows 2\ncellsize 0.2\n-Infinity 2\n3 4\n", "row 0 col 0"},
+	} {
+		w := postJSON(t, s, "/v1/tiles", tc.body)
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); w.Code != http.StatusBadRequest || err != nil ||
+			eb.Error.Code != "invalid_request" || !strings.Contains(eb.Error.Message, tc.msgHas) {
+			t.Errorf("upload %q = %d %s, want 400 invalid_request naming %q", tc.body, w.Code, w.Body, tc.msgHas)
+		}
+	}
+	var h Health
+	if err := json.Unmarshal(getJSON(t, s, "/healthz").Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Tiles != nil && h.Tiles.Count != 0 {
+		t.Errorf("healthz tiles = %+v after rejected uploads, want none stored", h.Tiles)
+	}
+}
+
 // TestTileUploadSurfaceAgreement pins one verdict per grid on every
 // ingestion surface: inline tile_asc on /v1/district and /v1/city and
 // an upload to /v1/tiles all answer 400, or all accept the grid. An

@@ -17,7 +17,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// Options tunes horizon-map construction.
+// Options tunes horizon-map construction. Every field must be finite.
 type Options struct {
 	// Sectors is the azimuth discretisation (default 64 ≈ 5.6°
 	// sectors, narrower than the sun's 15-minute azimuth travel).
@@ -72,6 +72,11 @@ func (o Options) validate() error {
 	if o.Sectors < 4 {
 		return fmt.Errorf("horizon: need at least 4 sectors, got %d", o.Sectors)
 	}
+	for _, v := range []float64{o.MaxDistanceM, o.NearStepM, o.NearFieldM, o.FarStepM, o.EyeHeightM} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("horizon: non-finite march parameter %g", v)
+		}
+	}
 	if o.MaxDistanceM <= 0 || o.NearStepM <= 0 || o.FarStepM <= 0 {
 		return fmt.Errorf("horizon: non-positive march parameters")
 	}
@@ -121,21 +126,103 @@ func sectorDirs(sectors int) (dirX, dirY []float64) {
 	return dirX, dirY
 }
 
+// Shape of the march plan. maxSamples bounds the samples per ray (the
+// defaults take 256). The samples are cut into chunks of at most
+// chunkSamples samples spanning at most chunkCells cells, and the DSM
+// is summarised as the maximum height of each blockCells×blockCells
+// block; a chunk whose covering blocks cannot raise the horizon is
+// skipped.
+const (
+	maxSamples   = 1 << 16
+	chunkSamples = 16
+	chunkCells   = 12
+	blockCells   = 8
+)
+
+// marchPlan is what every ray of one BuildRegions call shares,
+// computed once per call and read-only afterwards: the sample
+// distances with their chunk cuts, the sector directions and the
+// raster's height bounds. It is never memoised on the raster, which
+// callers may still mutate between builds.
+type marchPlan struct {
+	r          *dsm.Raster
+	eye        float64
+	dirX, dirY []float64 // sector plan directions (east, south)
+	d          []float64 // sample distances along every ray, non-decreasing, > 0
+	cuts       []int     // chunk k is d[cuts[k]:cuts[k+1]]
+	zTop       float64   // max(0, every non-NaN height): bounds every read
+	blk        []float64 // per block, max non-NaN height (-Inf if none)
+	bw         int       // block grid width
+	// cellsExact reports that every sample's global cell coordinate
+	// lies far inside the exact int range, so the cell AtMetres reads
+	// moves monotonically along a ray; the chunk skip relies on it.
+	cellsExact bool
+}
+
+// newMarchPlan resolves the ray schedule of the validated options and
+// scans the raster once for its height bounds.
+func newMarchPlan(r *dsm.Raster, opts Options) (*marchPlan, error) {
+	p := &marchPlan{r: r, eye: opts.EyeHeightM}
+	p.dirX, p.dirY = sectorDirs(opts.Sectors)
+	// The distance sequence is accumulated exactly as a per-ray march
+	// would, so every ray samples the same float distances.
+	cs := r.CellSize()
+	for d := opts.NearStepM; d <= opts.MaxDistanceM; {
+		if len(p.d) == maxSamples {
+			return nil, fmt.Errorf("horizon: march needs more than %d samples per ray", maxSamples)
+		}
+		if n := len(p.cuts); n == 0 || len(p.d)-p.cuts[n-1] == chunkSamples || d-p.d[p.cuts[n-1]] > chunkCells*cs {
+			p.cuts = append(p.cuts, len(p.d)) // start a new chunk
+		}
+		p.d = append(p.d, d)
+		if d < opts.NearFieldM {
+			d += opts.NearStepM
+		} else {
+			d += opts.FarStepM
+		}
+	}
+	p.cuts = append(p.cuts, len(p.d))
+
+	w, h := r.W(), r.H()
+	p.bw = (w + blockCells - 1) / blockCells
+	p.blk = make([]float64, p.bw*((h+blockCells-1)/blockCells))
+	for i := range p.blk {
+		p.blk[i] = math.Inf(-1)
+	}
+	for y := 0; y < h; y++ {
+		row := p.blk[y/blockCells*p.bw:]
+		for x := 0; x < w; x++ {
+			if z := r.At(geom.Cell{X: x, Y: y}); z > row[x/blockCells] {
+				row[x/blockCells] = z
+			}
+		}
+	}
+	for _, z := range p.blk {
+		if z > p.zTop {
+			p.zTop = z
+		}
+	}
+	o := r.Origin()
+	reach := float64(max(w, h)) + 2 + opts.MaxDistanceM/cs
+	p.cellsExact = math.Abs(float64(o.X))+reach < 1<<40 && math.Abs(float64(o.Y))+reach < 1<<40
+	return p, nil
+}
+
 // marchCell ray-marches every sector of one cell, writing the horizon
 // tangents into tan (len = sectors) and returning the cell's sky view
 // factor. The per-cell result depends only on the raster and the cell
 // — not on which region the map covers — which is what makes a view
 // sliced from a larger map bit-identical to a direct build.
-func marchCell(r *dsm.Raster, cell geom.Cell, dirX, dirY []float64, opts Options, tan []float32) float32 {
-	x0, y0 := r.CellCenterMetres(cell)
-	z0 := r.At(cell) + opts.EyeHeightM
+func (p *marchPlan) marchCell(cell geom.Cell, tan []float32) float32 {
+	x0, y0 := p.r.CellCenterMetres(cell)
+	z0 := p.r.At(cell) + p.eye
 	var svfSum float64
-	for s := range dirX {
-		t := marchSector(r, x0, y0, z0, dirX[s], dirY[s], opts)
+	for s := range p.dirX {
+		t := p.marchSector(x0, y0, z0, p.dirX[s], p.dirY[s])
 		tan[s] = float32(t)
 		svfSum += 1 / (1 + t*t) // cos² of the horizon elevation
 	}
-	return float32(svfSum / float64(len(dirX)))
+	return float32(svfSum / float64(len(p.dirX)))
 }
 
 // BuildRegions is the horizon builder: it computes one map whose
@@ -153,6 +240,18 @@ func marchCell(r *dsm.Raster, cell geom.Cell, dirX, dirY []float64, opts Options
 // chunks by parallel.Chunks. Cells are marched independently into
 // disjoint storage, so the result is bit-identical for every worker
 // count.
+//
+// The march is bounded but exact. Once per call BuildRegions lays out
+// the sample distances every ray shares and scans the raster for its
+// top height and 8×8-cell block maxima; marchSector then skips every
+// stretch of samples whose height bound cannot raise the ray's running
+// horizon tangent. Because the distances never decrease, reads outside
+// the raster return 0 (which joins every bound that reaches outside)
+// and IEEE subtraction and division by a positive number are
+// monotone, every tangent and sky view factor is bit-identical to a
+// march that reads every sample. The options must be finite, and
+// their schedule may hold at most 65 536 samples per ray (the defaults
+// take 256); anything else is an error, not a hang.
 func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int) (*Map, error) {
 	opts = opts.withDefaults(r.CellSize())
 	if err := opts.validate(); err != nil {
@@ -170,6 +269,10 @@ func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int)
 			return nil, fmt.Errorf("horizon: region %v exceeds raster bounds %v", reg, r.Bounds())
 		}
 		bbox = bbox.Union(reg)
+	}
+	plan, err := newMarchPlan(r, opts)
+	if err != nil {
+		return nil, err
 	}
 	buildCount.Add(1)
 	w, h := bbox.W(), bbox.H()
@@ -192,11 +295,9 @@ func BuildRegions(r *dsm.Raster, regions []geom.Rect, opts Options, workers int)
 		cells = append(cells, geom.Cell{X: c.X + bbox.X0, Y: c.Y + bbox.Y0})
 	})
 	parallel.Chunks(len(cells), workers, func(lo, hi int) {
-		dirX, dirY := sectorDirs(opts.Sectors)
 		for _, c := range cells[lo:hi] {
 			idx := (c.Y-bbox.Y0)*w + (c.X - bbox.X0)
-			m.svf[idx] = marchCell(r, c, dirX, dirY, opts,
-				m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
+			m.svf[idx] = plan.marchCell(c, m.tan[idx*opts.Sectors:(idx+1)*opts.Sectors])
 		}
 	})
 	return m, nil
@@ -242,22 +343,78 @@ func (m *Map) Slice(sub geom.Rect) (*Map, error) {
 func (m *Map) BuildOptions() Options { return m.opts }
 
 // marchSector walks outward from (x0,y0,z0) along the plan direction
-// (dx,dy) and returns the maximum obstruction tangent.
-func marchSector(r *dsm.Raster, x0, y0, z0, dx, dy float64, opts Options) float64 {
+// (dx,dy) and returns the maximum obstruction tangent: the largest
+// (z − z0)/d over the ray's samples, or 0 when none is positive.
+//
+// It reads only the samples that could raise the running maximum
+// maxTan, and is exact — bit-identical to reading every sample —
+// because a skipped sample's tangent t = (z − z0)/d can never exceed
+// maxTan. Each skip tests (bound − z0)/d₀ ≤ maxTan, where d₀ is the
+// first distance of the skipped stretch and bound is a height with
+// z ≤ bound for every sample of it:
+//   - zTop bounds every read, since reads outside the raster return 0;
+//     the test skips the rest of the ray;
+//   - the blocks covering a chunk's first and last sample cells bound
+//     the chunk, plus 0 when the chunk leaves the raster: the cell
+//     floor((x0+dx·d)/cellsize) is monotone in d, so every sample cell
+//     lies between the two endpoint cells (newMarchPlan checks that
+//     cell coordinates stay exact ints; where they might not, chunkTop
+//     falls back to zTop);
+//   - the distances never decrease, so every skipped d ≥ d₀ > 0;
+//   - IEEE subtraction and division by a positive number are monotone,
+//     so z ≤ bound gives z − z0 ≤ bound − z0, and then
+//     t ≤ (bound − z0)/d₀ when bound − z0 ≥ 0, or t ≤ 0 ≤ maxTan when not;
+//   - a NaN height never raises maxTan, so the bounds ignore it, and a
+//     NaN test fails, which marches the stretch.
+func (p *marchPlan) marchSector(x0, y0, z0, dx, dy float64) float64 {
 	maxTan := 0.0
-	d := opts.NearStepM
-	for d <= opts.MaxDistanceM {
-		z := r.AtMetres(x0+dx*d, y0+dy*d)
-		if t := (z - z0) / d; t > maxTan {
-			maxTan = t
+	for k := 1; k < len(p.cuts); k++ {
+		lo, hi := p.cuts[k-1], p.cuts[k]
+		d0 := p.d[lo]
+		if (p.zTop-z0)/d0 <= maxTan {
+			break
 		}
-		if d < opts.NearFieldM {
-			d += opts.NearStepM
-		} else {
-			d += opts.FarStepM
+		if (p.chunkTop(x0, y0, dx, dy, d0, p.d[hi-1])-z0)/d0 <= maxTan {
+			continue
+		}
+		for _, d := range p.d[lo:hi] {
+			z := p.r.AtMetres(x0+dx*d, y0+dy*d)
+			if t := (z - z0) / d; t > maxTan {
+				maxTan = t
+			}
 		}
 	}
 	return maxTan
+}
+
+// chunkTop bounds the heights a ray samples between distances d0 and
+// d1: the maximum over the blocks covering the cells between the two
+// endpoint cells, and 0 when that box leaves the raster.
+func (p *marchPlan) chunkTop(x0, y0, dx, dy, d0, d1 float64) float64 {
+	if !p.cellsExact {
+		return p.zTop
+	}
+	a := p.r.CellAtMetres(x0+dx*d0, y0+dy*d0)
+	b := p.r.CellAtMetres(x0+dx*d1, y0+dy*d1)
+	cx0, cx1 := min(a.X, b.X), max(a.X, b.X)
+	cy0, cy1 := min(a.Y, b.Y), max(a.Y, b.Y)
+	top := math.Inf(-1)
+	if cx0 < 0 || cy0 < 0 || cx1 >= p.r.W() || cy1 >= p.r.H() {
+		top = 0
+		cx0, cy0 = max(cx0, 0), max(cy0, 0)
+		cx1, cy1 = min(cx1, p.r.W()-1), min(cy1, p.r.H()-1)
+		if cx0 > cx1 || cy0 > cy1 {
+			return top // wholly outside the raster
+		}
+	}
+	for by := cy0 / blockCells; by <= cy1/blockCells; by++ {
+		for bx := cx0 / blockCells; bx <= cx1/blockCells; bx++ {
+			if z := p.blk[by*p.bw+bx]; z > top {
+				top = z
+			}
+		}
+	}
+	return top
 }
 
 // Sectors returns the azimuth discretisation of the map.

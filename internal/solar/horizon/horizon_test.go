@@ -473,6 +473,51 @@ func TestBuildRegionsValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsRejectUnboundedMarch: BuildRegions refuses options it
+// could not march in bounded time and memory. NaN passes every "<= 0"
+// check and an infinite reach never ends a ray, so non-finite fields
+// are rejected up front, as is a schedule of more than maxSamples
+// samples per ray. A rejected build does not count in BuildCount.
+func TestOptionsRejectUnboundedMarch(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"NaN reach", Options{MaxDistanceM: nan}},
+		{"+Inf reach", Options{MaxDistanceM: inf}},
+		{"-Inf reach", Options{MaxDistanceM: -inf}},
+		{"NaN near step", Options{NearStepM: nan}},
+		{"+Inf near step", Options{NearStepM: inf}},
+		{"NaN near field", Options{NearFieldM: nan}},
+		{"+Inf near field", Options{NearFieldM: inf}},
+		{"NaN far step", Options{FarStepM: nan}},
+		{"+Inf far step", Options{FarStepM: inf}},
+		{"NaN eye height", Options{EyeHeightM: nan}},
+		{"+Inf eye height", Options{EyeHeightM: inf}},
+		{"schedule too long", Options{NearStepM: 1e-4, NearFieldM: 12}},
+		{"step lost in the distance", Options{NearStepM: 1e5, FarStepM: 1e-12, MaxDistanceM: 2e5}},
+	}
+	r := flatRaster(t, 20, 20)
+	region := []geom.Rect{{X0: 0, Y0: 0, X1: 4, Y1: 4}}
+	before := BuildCount()
+	for _, tc := range cases {
+		if _, err := BuildRegions(r, region, tc.opts, 1); err == nil {
+			t.Errorf("%s: options %+v accepted", tc.name, tc.opts)
+		}
+	}
+	if n := BuildCount() - before; n != 0 {
+		t.Errorf("rejected builds counted %d times in BuildCount", n)
+	}
+	p, err := newMarchPlan(r, Options{}.withDefaults(r.CellSize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.d) != 256 {
+		t.Errorf("default schedule has %d samples per ray, want 256", len(p.d))
+	}
+}
+
 func TestSliceValidation(t *testing.T) {
 	r := flatRaster(t, 20, 20)
 	m, err := build(r, geom.Rect{X0: 4, Y0: 4, X1: 16, Y1: 16}, Options{Sectors: 8, MaxDistanceM: 3})
